@@ -43,7 +43,7 @@ func benchFigure(b *testing.B, id string) {
 	b.Helper()
 	var rep *Report
 	for i := 0; i < b.N; i++ {
-		r, err := Figure(id, benchOpts())
+		r, err := FigureCtx(context.Background(), id, benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func BenchmarkAblationHybridModes(b *testing.B) {
 	results := map[hybrid.Mode]float64{}
 	for i := 0; i < b.N; i++ {
 		for _, mode := range modes {
-			hm, err := TrainHybrid(train, am, HybridConfig{Mode: mode, Seed: 3})
+			hm, err := TrainHybridCtx(context.Background(), train, am, HybridConfig{Mode: mode, Seed: 3})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -147,7 +147,7 @@ func BenchmarkAblationAggregation(b *testing.B) {
 	}
 	var plain, agg float64
 	for i := 0; i < b.N; i++ {
-		hm, err := TrainHybrid(train, am, HybridConfig{Seed: 3})
+		hm, err := TrainHybridCtx(context.Background(), train, am, HybridConfig{Seed: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func BenchmarkAblationAggregation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ha, err := TrainHybrid(train, am, HybridConfig{Seed: 3, Aggregate: true})
+		ha, err := TrainHybridCtx(context.Background(), train, am, HybridConfig{Seed: 3, Aggregate: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,12 +194,12 @@ func BenchmarkAblationAMCalibration(b *testing.B) {
 
 	var untuned, tuned, amU, amT float64
 	for i := 0; i < b.N; i++ {
-		h1, err := TrainHybrid(train, amUntuned, HybridConfig{Seed: 3})
+		h1, err := TrainHybridCtx(context.Background(), train, amUntuned, HybridConfig{Seed: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
 		untuned, _ = h1.MAPE(test)
-		h2, err := TrainHybrid(train, amTuned, HybridConfig{Seed: 3})
+		h2, err := TrainHybridCtx(context.Background(), train, amTuned, HybridConfig{Seed: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -345,7 +345,7 @@ func BenchmarkHybridTrain(b *testing.B) {
 	train, _, am := ablationSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TrainHybrid(train, am, HybridConfig{Seed: int64(i)}); err != nil {
+		if _, err := TrainHybridCtx(context.Background(), train, am, HybridConfig{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,10 +14,9 @@
 //
 // -layout sets the process-default tree-traversal layout every
 // compiled ensemble adopts (see the README's layout table). The exact
-// layouts — implicit-left, standard, level-order — leave every MAPE
-// series bit-identical and only move wall-clock time; the quantized
-// layouts (quant16, quant8) perturb predictions within the
-// quantization bound and exist here to measure that trade.
+// layout, implicit-left, is the default; the quantized layouts
+// (quant16, quant8) perturb predictions within the quantization bound
+// and exist here to measure that trade.
 //
 // -json replaces the text tables with one machine-readable JSON
 // document on stdout: run parameters plus, per benchmark, the
@@ -100,7 +99,7 @@ func main() {
 	trees := flag.Int("trees", 100, "ensemble size for tree models")
 	workers := flag.Int("workers", 0, "worker pool size for parallel fitting and sweeps (0 = GOMAXPROCS, 1 = sequential)")
 	jsonOut := flag.Bool("json", false, "emit one machine-readable JSON document (per-benchmark ns/op + MAPE series) instead of text tables")
-	layoutFlag := flag.String("layout", "", "traversal layout for every compiled ensemble: default, implicit-left (branchless), standard, level-order, quant16, quant8 (exact layouts leave MAPE bit-identical)")
+	layoutFlag := flag.String("layout", "", "traversal layout for every compiled ensemble: default, implicit-left (branchless, exact), quant16, quant8 (quantized layouts perturb MAPE within the quantization bound)")
 	flag.Parse()
 
 	// ^C / SIGTERM cancel the context; the sweeps notice at the next

@@ -22,8 +22,9 @@
 // identical to unbatched scoring; <= 1 disables); -max-inflight/-queue
 // bound concurrency and shed overload with 429 + Retry-After (0
 // disables admission control); -layout picks the tree-traversal layout
-// applied to every loaded model (exact layouts are bit-identical,
-// quantized ones trade bounded accuracy for a ~4x smaller table);
+// applied to every loaded model (implicit-left is the exact default;
+// quant16/quant8 trade bounded accuracy for a table ~3.5-4x smaller
+// than the 28 B/node SoA form);
 // -pprof exposes net/http/pprof on a separate listener for CPU/heap
 // profiling under load. See the README's "Capacity planning & tuning"
 // section and cmd/lam-loadgen for measuring the effect.
@@ -149,7 +150,7 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "bound on concurrently served /predict requests (0 disables admission control)")
 	queueLen := flag.Int("queue", 64, "requests allowed to wait for an in-flight slot beyond -max-inflight; a full queue sheds with 429")
 	warm := flag.String("warm", "", "comma-separated model names to preload; GET /readyz reports 503 until all are resident (fleet readiness gate)")
-	layoutFlag := flag.String("layout", "", "traversal layout applied to every loaded model: default, implicit-left (branchless), standard, level-order, quant16, quant8 (quantized layouts are approximate; see README)")
+	layoutFlag := flag.String("layout", "", "traversal layout applied to every loaded model: default, implicit-left (branchless, exact), quant16, quant8 (quantized layouts are approximate; see README)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
 	injectLatency := flag.Duration("inject-latency", 0, "fault injection: sleep this long inside every /predict while holding its admission slot (fleet/capacity testing only; 0 = off)")
 	onlineOn := flag.Bool("online", false, "enable the online adaptation plane (/observe ingest, drift detection, background retrain, hot swap)")

@@ -215,6 +215,21 @@ func appendTreeBody(buf []byte, t *DecisionTree, v1 bool) []byte {
 	return appendF64s(buf, c.value)
 }
 
+// materializeLeft rebuilds the explicit left-child column the
+// canonical layout keeps implicit (i+1 for internal nodes, -1 for
+// leaves), which version-1 bodies carry.
+func materializeLeft(c *CompiledTree) []int32 {
+	left := make([]int32, c.Len())
+	for i, f := range c.feature {
+		if f < 0 {
+			left[i] = -1
+		} else {
+			left[i] = int32(i) + 1
+		}
+	}
+	return left
+}
+
 // AppendBinary appends the binary encoding of a fitted regressor to buf
 // and returns the extended slice. Supported types and fitted-state
 // requirements match SaveModel exactly; the two encodings are

@@ -2,8 +2,6 @@ package ml
 
 import (
 	"fmt"
-	"math"
-	"sync/atomic"
 	"unsafe"
 )
 
@@ -24,17 +22,16 @@ func b2i32(b bool) int32 {
 // walk touches a mostly ascending address sequence, needs one fewer
 // cache line per level than the explicit two-child form, and the
 // descent itself compiles to a conditional move instead of a branch
-// (see predictFrom), so the CPU never mispredicts data-dependent
+// (see predictHot), so the CPU never mispredicts data-dependent
 // splits. Every tree-based estimator (DecisionTree, Forest, Bagging
 // over tree bases, GradientBoosting) compiles at Fit/load time; there
 // is no pointer-tree runtime representation left.
 //
-// Alternative traversal layouts (the PR 3 explicit-child walk kept as a
-// benchmark baseline, a depth-bucketed level-order batch layout, and
-// quantized node tables) are derived from this canonical form — see
-// layout.go, levelorder.go and quant.go.
+// An ensemble holds exactly one exact node table: the packed 16-byte
+// hotNode records built straight from its member trees. The opt-in
+// quantized tables (quant.go) are derived from it.
 //
-// Exact layouts are bit-identical to the recursive form: the node
+// The exact walk is bit-identical to the recursive form: the node
 // ordering, thresholds and comparison directions are unchanged, only
 // the storage differs (asserted exhaustively by TestCompiledEquivalence
 // in compiled_test.go). Quantized layouts are approximate and opt-in.
@@ -86,20 +83,14 @@ func (c *CompiledTree) split(idx int32, feature int, threshold float64, left, ri
 
 // Predict walks the tree iteratively from the root. The caller
 // guarantees x has the arity the tree was fitted on (the estimator
-// wrappers check). Allocation-free.
-func (c *CompiledTree) Predict(x []float64) float64 { return c.predictFrom(0, x) }
-
-// predictFrom walks one tree of a (possibly concatenated) node table
-// starting at root. The slice headers are hoisted into locals so the
-// loop reloads nothing through the receiver, and the descent is
-// branchless: the left child is implicit at i+1, so the step is a
-// compare and a conditional move, never a data-dependent branch the
-// CPU could mispredict. The comparison direction (x <= threshold goes
-// left, everything else — including NaN — goes right) is exactly the
-// legacy recursive walk's, so exact layouts stay bit-identical.
-func (c *CompiledTree) predictFrom(root int32, x []float64) float64 {
+// wrappers check). The slice headers are hoisted into locals so the
+// loop reloads nothing through the receiver. The comparison direction
+// (x <= threshold goes left, everything else — including NaN — goes
+// right) is exactly the legacy recursive walk's, and the ensembles'
+// hotNode walk keeps it. Allocation-free.
+func (c *CompiledTree) Predict(x []float64) float64 {
 	feature, threshold, right := c.feature, c.threshold, c.right
-	i := root
+	i := int32(0)
 	for {
 		f := feature[i]
 		if f < 0 {
@@ -115,32 +106,18 @@ func (c *CompiledTree) predictFrom(root int32, x []float64) float64 {
 
 // hotNode packs the three fields the branchless descent reads into one
 // 16-byte record, so each visited node costs a single cache line where
-// the SoA walk touches three (feature, threshold and right live in
-// separate arrays). Leaves reuse the threshold slot for the leaf value
-// — the walk never touches the value column at all. Derived from the
-// canonical table for LayoutImplicitLeft (the serving default); the
-// values are verbatim copies, so the walk stays bit-identical.
+// an SoA walk touches three (feature, threshold and right live in
+// separate arrays). Leaves reuse the threshold slot for the leaf value,
+// so there is no value column at all. The fields are verbatim copies of
+// the member trees' SoA tables, so the walk stays bit-identical.
 type hotNode struct {
 	threshold float64 // leaf value when feature < 0
 	feature   int32
 	right     int32
 }
 
-// buildHotNodes packs a (possibly concatenated) canonical node table.
-func buildHotNodes(c *CompiledTree) []hotNode {
-	hot := make([]hotNode, c.Len())
-	for i, f := range c.feature {
-		if f < 0 {
-			hot[i] = hotNode{threshold: c.value[i], feature: -1}
-		} else {
-			hot[i] = hotNode{threshold: c.threshold[i], feature: f, right: c.right[i]}
-		}
-	}
-	return hot
-}
-
-// predictHot is predictFrom over the packed record array: one cache
-// line per visited node and a fully branchless step. Go's compiler
+// predictHot walks one tree of the packed record array from root: one
+// cache line per visited node and a fully branchless step. Go's compiler
 // lowers `if cond { next = i+1 }` to a conditional jump (not CMOV) for
 // float-controlled conditions, so the select is done arithmetically:
 // the comparison materialises as a SETcc byte (b2i32), negating it
@@ -241,33 +218,23 @@ const (
 // scoring streams through one allocation-free memory region instead of
 // hopping between per-tree heaps.
 //
-// The canonical table is the implicit-left branchless layout; SetLayout
-// derives the alternative traversal forms (explicit-child baseline,
-// level-order batch striding, quantized tables) from it. SetLayout is
-// not safe to call concurrently with prediction — apply it right after
-// Fit/load, before the ensemble is shared (the registry/serve layers
-// do exactly that).
+// The packed hot table is the only exact node table; SetLayout derives
+// the quantized tables from it. SetLayout is not safe to call
+// concurrently with prediction — apply it right after Fit/load, before
+// the ensemble is shared (the registry/serve layers do exactly that).
 type CompiledEnsemble struct {
-	nodes   CompiledTree
 	roots   []int32
 	combine ensembleCombine
 	// init and rate are the boosting constants (combineBoosted only).
 	init, rate float64
 
 	// layout is the active traversal layout (always resolved, never
-	// LayoutDefault; the zero value acts as LayoutImplicitLeft). The
-	// derived tables below are non-nil only for their layout.
+	// LayoutDefault; the zero value acts as LayoutImplicitLeft).
 	layout Layout
-	// hot is the packed 16-byte-per-node walk table for
-	// LayoutImplicitLeft (nil for other layouts and for ad-hoc
-	// ensembles that never had a layout applied, which fall back to
-	// the SoA walk — bit-identical either way).
+	// hot is the packed 16-byte-per-node walk table. It stays
+	// allocated under the quantized layouts so SetLayout can return to
+	// exact.
 	hot []hotNode
-	// stdLeft is the materialised explicit left-child array for
-	// LayoutStandard (the PR 3 baseline walk).
-	stdLeft []int32
-	// lvl is the depth-bucketed level-order table for LayoutLevelOrder.
-	lvl *levelEnsemble
 	// qt is the quantized node table for LayoutQuant16/LayoutQuant8.
 	qt *quantEnsemble
 }
@@ -276,29 +243,31 @@ type CompiledEnsemble struct {
 func (e *CompiledEnsemble) NumTrees() int { return len(e.roots) }
 
 // NumNodes returns the total node count across all members.
-func (e *CompiledEnsemble) NumNodes() int { return e.nodes.Len() }
+func (e *CompiledEnsemble) NumNodes() int { return len(e.hot) }
 
-// appendTree copies one compiled tree into the shared node table,
-// rebasing its child indices, and records its root.
+// appendTree packs one compiled tree onto the shared node table,
+// rebasing its right-child indices, and records its root.
 func (e *CompiledEnsemble) appendTree(t *CompiledTree) {
-	base := int32(e.nodes.Len())
+	base := int32(len(e.hot))
 	e.roots = append(e.roots, base)
-	e.nodes.feature = append(e.nodes.feature, t.feature...)
-	e.nodes.threshold = append(e.nodes.threshold, t.threshold...)
-	e.nodes.value = append(e.nodes.value, t.value...)
-	for _, r := range t.right {
-		if r >= 0 {
-			r += base
+	for i, f := range t.feature {
+		if f < 0 {
+			e.hot = append(e.hot, hotNode{threshold: t.value[i], feature: -1})
+		} else {
+			e.hot = append(e.hot, hotNode{threshold: t.threshold[i], feature: f, right: t.right[i] + base})
 		}
-		e.nodes.right = append(e.nodes.right, r)
 	}
 }
 
-// compileMeanEnsemble concatenates fitted trees into a mean-combining
-// ensemble (forests, bagged trees) and applies the process-default
-// traversal layout.
-func compileMeanEnsemble(trees []*DecisionTree) *CompiledEnsemble {
-	e := &CompiledEnsemble{combine: combineMean}
+// compileEnsemble packs fitted trees into one exactly sized node table
+// and applies the process-default traversal layout.
+func compileEnsemble(trees []*DecisionTree, combine ensembleCombine, init, rate float64) *CompiledEnsemble {
+	n := 0
+	for _, t := range trees {
+		n += t.nodes.Len()
+	}
+	e := &CompiledEnsemble{combine: combine, init: init, rate: rate,
+		roots: make([]int32, 0, len(trees)), hot: make([]hotNode, 0, n)}
 	for _, t := range trees {
 		e.appendTree(&t.nodes)
 	}
@@ -306,51 +275,29 @@ func compileMeanEnsemble(trees []*DecisionTree) *CompiledEnsemble {
 	return e
 }
 
-// compileBoostedEnsemble concatenates boosting stages with their
-// shrinkage constants and applies the process-default traversal layout.
+// compileMeanEnsemble compiles a mean-combining ensemble (forests,
+// bagged trees).
+func compileMeanEnsemble(trees []*DecisionTree) *CompiledEnsemble {
+	return compileEnsemble(trees, combineMean, 0, 0)
+}
+
+// compileBoostedEnsemble compiles boosting stages with their shrinkage
+// constants.
 func compileBoostedEnsemble(stages []*DecisionTree, init, rate float64) *CompiledEnsemble {
-	e := &CompiledEnsemble{combine: combineBoosted, init: init, rate: rate}
-	for _, t := range stages {
-		e.appendTree(&t.nodes)
-	}
-	e.applyDefaultLayout()
-	return e
+	return compileEnsemble(stages, combineBoosted, init, rate)
 }
 
 // Predict scores one feature vector, folding the member trees in
-// order. Exact layouts are bit-identical to summing the members'
+// order. The exact layout is bit-identical to summing the members'
 // individual predictions the way the estimators' recursive
 // implementations did: mean = (t₀+t₁+…)/n, boosted = init + rate·t₀ +
 // rate·t₁ + …. Quantized layouts approximate within the documented
 // threshold-perturbation bound. Allocation-free.
 func (e *CompiledEnsemble) Predict(x []float64) float64 {
-	switch e.layout {
-	case LayoutQuant16, LayoutQuant8:
+	if e.qt != nil {
 		return e.qt.predict(x)
-	case LayoutStandard:
-		return e.predictStd(x)
 	}
-	// Implicit-left branchless — also serves LayoutLevelOrder: the
-	// level table is a batch-striding layout, single rows walk the
-	// canonical preorder form (bit-identical either way). The packed
-	// hot table is preferred when the layout built one.
-	if e.hot != nil {
-		return e.predictHotInterleaved(x)
-	}
-	switch e.combine {
-	case combineBoosted:
-		out := e.init
-		for _, r := range e.roots {
-			out += e.rate * e.nodes.predictFrom(r, x)
-		}
-		return out
-	default:
-		s := 0.0
-		for _, r := range e.roots {
-			s += e.nodes.predictFrom(r, x)
-		}
-		return s / float64(len(e.roots))
-	}
+	return e.predictHotInterleaved(x)
 }
 
 // hotLanes is the number of member trees a single-row ensemble walk
@@ -362,8 +309,8 @@ func (e *CompiledEnsemble) Predict(x []float64) float64 {
 // trees one by one.
 const hotLanes = 4
 
-// predictHotInterleaved is the implicit-left single-row ensemble walk
-// over the packed hot table, hotLanes trees at a time.
+// predictHotInterleaved is the single-row ensemble walk over the
+// packed hot table, hotLanes trees at a time.
 func (e *CompiledEnsemble) predictHotInterleaved(x []float64) float64 {
 	hot, roots := e.hot, e.roots
 	var idx [hotLanes]int32
@@ -411,61 +358,23 @@ func (e *CompiledEnsemble) predictHotInterleaved(x []float64) float64 {
 	return out
 }
 
-// predictStd is Predict through the LayoutStandard explicit-child walk
-// (the PR 3 baseline kept for benchmarking and regression guarding).
-func (e *CompiledEnsemble) predictStd(x []float64) float64 {
-	switch e.combine {
-	case combineBoosted:
-		out := e.init
-		for _, r := range e.roots {
-			out += e.rate * e.predictFromStd(r, x)
-		}
-		return out
-	default:
-		s := 0.0
-		for _, r := range e.roots {
-			s += e.predictFromStd(r, x)
-		}
-		return s / float64(len(e.roots))
-	}
-}
-
-// predictFromStd is the explicit two-child branchy descent: exactly the
-// pre-PR 8 hot loop, reading the materialised left array.
-func (e *CompiledEnsemble) predictFromStd(root int32, x []float64) float64 {
-	feature, threshold := e.nodes.feature, e.nodes.threshold
-	left, right := e.stdLeft, e.nodes.right
-	i := root
-	for {
-		f := feature[i]
-		if f < 0 {
-			return e.nodes.value[i]
-		}
-		if x[f] <= threshold[i] {
-			i = left[i]
-		} else {
-			i = right[i]
-		}
-	}
-}
-
 // PredictInto scores one feature vector per member prefix: out[i] is
 // the prediction using trees [0, i] — the staged-prediction primitive.
 // out must have NumTrees elements. Staged prediction is an analysis
-// path, not a serving path, so it always walks the exact canonical
-// table regardless of the active layout. Allocation-free.
+// path, not a serving path, so it always walks the exact hot table
+// regardless of the active layout. Allocation-free.
 func (e *CompiledEnsemble) PredictInto(x []float64, out []float64) {
 	switch e.combine {
 	case combineBoosted:
 		acc := e.init
 		for i, r := range e.roots {
-			acc += e.rate * e.nodes.predictFrom(r, x)
+			acc += e.rate * predictHot(e.hot, r, x)
 			out[i] = acc
 		}
 	default:
 		s := 0.0
 		for i, r := range e.roots {
-			s += e.nodes.predictFrom(r, x)
+			s += predictHot(e.hot, r, x)
 			out[i] = s / float64(i+1)
 		}
 	}
@@ -477,30 +386,9 @@ func (e *CompiledEnsemble) PredictInto(x []float64, out []float64) {
 // row-major keeps the accumulator in a register; large forests blow
 // the cache per row, and tree-major keeps one tree's nodes hot across
 // the whole block instead. Either order is bit-identical (see below),
-// so the cutoff is purely a performance knob — tunable per host via
-// SetBatchTreeMajorThreshold (the atomic makes runtime retuning safe
-// while serving).
-var batchTreeMajorMinNodes atomic.Int64
-
-const defaultBatchTreeMajorMinNodes = 4096
-
-func init() { batchTreeMajorMinNodes.Store(defaultBatchTreeMajorMinNodes) }
-
-// SetBatchTreeMajorThreshold tunes the node-table size at which batch
-// scoring switches from row-major to tree-major traversal. Values < 1
-// restore the built-in default (4096). Both orders are bit-identical;
-// the threshold is purely a per-host performance knob (benchmark with
-// lam-bench).
-func SetBatchTreeMajorThreshold(n int) {
-	if n < 1 {
-		n = defaultBatchTreeMajorMinNodes
-	}
-	batchTreeMajorMinNodes.Store(int64(n))
-}
-
-// BatchTreeMajorThreshold returns the current row-major/tree-major
-// switchover threshold.
-func BatchTreeMajorThreshold() int { return int(batchTreeMajorMinNodes.Load()) }
+// so the cutoff is purely a performance constant; tests lower it to
+// drive small fixtures through the tree-major walk.
+var batchTreeMajorMinNodes = 4096
 
 // PredictBatchInto scores every row of X into out sequentially with
 // zero steady-state allocations; out must have len(X) elements. For
@@ -508,58 +396,34 @@ func BatchTreeMajorThreshold() int { return int(batchTreeMajorMinNodes.Load()) }
 // trees, the inner loop rows — so one tree's nodes stay cache-hot
 // across the whole block instead of the entire ensemble being
 // re-streamed per row. Each out[i] still accumulates its tree
-// contributions in tree order, so exact layouts are bit-identical to
+// contributions in tree order, so the exact layout is bit-identical to
 // per-row Predict calls. Parallel batch scoring lives in the
 // estimators (Forest.PredictBatchInto and friends), which block-split
 // over this walk.
 func (e *CompiledEnsemble) PredictBatchInto(X [][]float64, out []float64) {
 	out = out[:len(X)]
-	switch e.layout {
-	case LayoutQuant16, LayoutQuant8:
+	if e.qt != nil {
 		e.qt.predictBatchInto(X, out)
 		return
-	case LayoutLevelOrder:
-		e.lvl.predictBatchInto(e, X, out)
-		return
 	}
-	if int64(e.nodes.Len()) < batchTreeMajorMinNodes.Load() {
+	if len(e.hot) < batchTreeMajorMinNodes {
 		for i, x := range X {
-			out[i] = e.Predict(x)
+			out[i] = e.predictHotInterleaved(x)
 		}
 		return
 	}
-	if e.layout == LayoutStandard {
-		e.predictBatchTreeMajorStd(X, out)
-		return
+	boosted := e.combine == combineBoosted
+	init, scale := 0.0, 1.0
+	if boosted {
+		init, scale = e.init, e.rate
 	}
-	hot := e.hot
-	switch e.combine {
-	case combineBoosted:
-		for i := range out {
-			out[i] = e.init
-		}
-		for _, r := range e.roots {
-			if hot != nil {
-				predictHotTreeRows(hot, r, X, out, e.rate)
-			} else {
-				for i, x := range X {
-					out[i] += e.rate * e.nodes.predictFrom(r, x)
-				}
-			}
-		}
-	default:
-		for i := range out {
-			out[i] = 0
-		}
-		for _, r := range e.roots {
-			if hot != nil {
-				predictHotTreeRows(hot, r, X, out, 1)
-			} else {
-				for i, x := range X {
-					out[i] += e.nodes.predictFrom(r, x)
-				}
-			}
-		}
+	for i := range out {
+		out[i] = init
+	}
+	for _, r := range e.roots {
+		predictHotTreeRows(e.hot, r, X, out, scale)
+	}
+	if !boosted {
 		n := float64(len(e.roots))
 		for i := range out {
 			out[i] /= n
@@ -603,46 +467,4 @@ func predictHotTreeRows(hot []hotNode, r int32, X [][]float64, out []float64, sc
 			out[g+l] += scale * val[l]
 		}
 	}
-}
-
-// predictBatchTreeMajorStd is the tree-major batch walk through the
-// LayoutStandard explicit-child descent.
-func (e *CompiledEnsemble) predictBatchTreeMajorStd(X [][]float64, out []float64) {
-	switch e.combine {
-	case combineBoosted:
-		for i := range out {
-			out[i] = e.init
-		}
-		for _, r := range e.roots {
-			for i, x := range X {
-				out[i] += e.rate * e.predictFromStd(r, x)
-			}
-		}
-	default:
-		for i := range out {
-			out[i] = 0
-		}
-		for _, r := range e.roots {
-			for i, x := range X {
-				out[i] += e.predictFromStd(r, x)
-			}
-		}
-		n := float64(len(e.roots))
-		for i := range out {
-			out[i] /= n
-		}
-	}
-}
-
-// MeanAbs returns the mean absolute leaf value across the table — a
-// cheap structural fingerprint used by tests; NaN for empty ensembles.
-func (e *CompiledEnsemble) MeanAbs() float64 {
-	if e.nodes.Len() == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, v := range e.nodes.value {
-		s += math.Abs(v)
-	}
-	return s / float64(e.nodes.Len())
 }

@@ -115,21 +115,99 @@ func benchForest(b *testing.B) (*Forest, [][]float64) {
 	return f, Xq
 }
 
-// benchLayouts is the traversal-layout sweep the PR 8 numbers
-// (BENCH_PR8.json) and the CI regression guard are measured on:
-// "standard" is the explicit-child branchy walk (the PR 3 baseline),
-// "implicit-left" the branchless canonical walk, then the batch-only
-// and quantized variants.
-var benchLayouts = []Layout{LayoutStandard, LayoutImplicitLeft, LayoutLevelOrder, LayoutQuant16, LayoutQuant8}
+// benchLayouts is the traversal-layout sweep the *Layout benchmarks run
+// after the "standard" baseline (stdForest below): the branchless
+// implicit-left walk, then the quantized tables.
+var benchLayouts = []Layout{LayoutImplicitLeft, LayoutQuant16, LayoutQuant8}
+
+// stdForest is the explicit two-child branchy walk the implicit-left
+// layout replaced, kept test-side as the baseline
+// of the traversal guard and the *Layout benchmarks. It concatenates
+// the member trees' SoA tables into one, rebasing child indices, and
+// materialises the left-child column the canonical layout keeps
+// implicit — the same memory image the production walk once read.
+type stdForest struct {
+	feature          []int32
+	threshold, value []float64
+	left, right      []int32
+	roots            []int32
+}
+
+func newStdForest(trees []*DecisionTree) *stdForest {
+	s := &stdForest{}
+	for _, t := range trees {
+		c := &t.nodes
+		base := int32(len(s.feature))
+		s.roots = append(s.roots, base)
+		s.feature = append(s.feature, c.feature...)
+		s.threshold = append(s.threshold, c.threshold...)
+		s.value = append(s.value, c.value...)
+		for i, f := range c.feature {
+			if f < 0 {
+				s.left, s.right = append(s.left, -1), append(s.right, -1)
+			} else {
+				s.left, s.right = append(s.left, base+int32(i)+1), append(s.right, base+c.right[i])
+			}
+		}
+	}
+	return s
+}
+
+// predictFrom is the branchy descent of one tree from root.
+func (s *stdForest) predictFrom(root int32, x []float64) float64 {
+	feature, threshold := s.feature, s.threshold
+	left, right := s.left, s.right
+	i := root
+	for {
+		f := feature[i]
+		if f < 0 {
+			return s.value[i]
+		}
+		if x[f] <= threshold[i] {
+			i = left[i]
+		} else {
+			i = right[i]
+		}
+	}
+}
+
+// predict averages the member walks in tree order.
+func (s *stdForest) predict(x []float64) float64 {
+	sum := 0.0
+	for _, r := range s.roots {
+		sum += s.predictFrom(r, x)
+	}
+	return sum / float64(len(s.roots))
+}
+
+// predictBatchInto is the tree-major batch walk: outer loop trees,
+// inner loop rows.
+func (s *stdForest) predictBatchInto(X [][]float64, out []float64) {
+	for i := range out {
+		out[i] = 0
+	}
+	for _, r := range s.roots {
+		for i, x := range X {
+			out[i] += s.predictFrom(r, x)
+		}
+	}
+	n := float64(len(s.roots))
+	for i := range out {
+		out[i] /= n
+	}
+}
 
 // BenchmarkForestPredictSingleLayout pairs single-row latency across
 // traversal layouts on a 100-tree ensemble.
 func BenchmarkForestPredictSingleLayout(b *testing.B) {
 	f, Xq := benchForest(b)
-	for _, layout := range benchLayouts {
-		if layout == LayoutLevelOrder {
-			continue // batch-only: single rows take the canonical walk
+	std := newStdForest(f.trees)
+	b.Run("standard", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = std.predict(Xq[i%len(Xq)])
 		}
+	})
+	for _, layout := range benchLayouts {
 		if err := SetLayoutOf(f, layout); err != nil {
 			b.Fatal(err)
 		}
@@ -150,6 +228,12 @@ func BenchmarkForestPredictSingleLayout(b *testing.B) {
 func BenchmarkForestPredictBatchLayout(b *testing.B) {
 	f, Xq := benchForest(b)
 	out := make([]float64, len(Xq))
+	std := newStdForest(f.trees)
+	b.Run("standard", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			std.predictBatchInto(Xq, out)
+		}
+	})
 	for _, layout := range benchLayouts {
 		if err := SetLayoutOf(f, layout); err != nil {
 			b.Fatal(err)
@@ -167,12 +251,13 @@ func BenchmarkForestPredictBatchLayout(b *testing.B) {
 	}
 }
 
-// TestTraversalBenchGuard is the CI bench-regression smoke gate
-// (satellite of the PR 8 raw-speed push): with LAM_BENCH_GUARD=1 it
-// times the branchless implicit-left walk against the explicit-child
-// baseline and fails when branchless is more than 1.3x slower — a
-// generous guard that only trips on a real regression (the whole point
-// of the layout is to be faster), not on scheduler noise.
+// TestTraversalBenchGuard is the CI bench-regression smoke gate: with
+// LAM_BENCH_GUARD=1 it
+// times the branchless implicit-left walk against the test-side
+// explicit-child baseline (stdForest) and fails when branchless is
+// more than 1.3x slower — a generous guard that only trips on a real
+// regression (the whole point of the layout is to be faster), not on
+// scheduler noise.
 func TestTraversalBenchGuard(t *testing.T) {
 	if os.Getenv("LAM_BENCH_GUARD") != "1" {
 		t.Skip("set LAM_BENCH_GUARD=1 to run the traversal regression guard")
@@ -184,19 +269,25 @@ func TestTraversalBenchGuard(t *testing.T) {
 	if err := f.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	time := func(layout Layout) float64 {
-		if err := SetLayoutOf(f, layout); err != nil {
-			t.Fatal(err)
+	if err := SetLayoutOf(f, LayoutImplicitLeft); err != nil {
+		t.Fatal(err)
+	}
+	std := newStdForest(f.trees)
+	for _, x := range Xq {
+		if got, want := f.Predict(x), std.predict(x); !sameBits(got, want) {
+			t.Fatalf("baseline walk disagrees with the forest: %x vs %x", want, got)
 		}
+	}
+	time := func(predict func([]float64) float64) float64 {
 		res := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = f.Predict(Xq[i%len(Xq)])
+				_ = predict(Xq[i%len(Xq)])
 			}
 		})
 		return float64(res.NsPerOp())
 	}
-	standard := time(LayoutStandard)
-	branchless := time(LayoutImplicitLeft)
+	standard := time(std.predict)
+	branchless := time(f.Predict)
 	t.Logf("single-row: standard %.0f ns/op, branchless %.0f ns/op (%.2fx)",
 		standard, branchless, standard/branchless)
 	if branchless > 1.3*standard {

@@ -217,7 +217,7 @@ func TestCompiledEquivalenceTreeMajor(t *testing.T) {
 	if err := f.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	if n := f.compiled.NumNodes(); n < BatchTreeMajorThreshold() {
+	if n := f.compiled.NumNodes(); n < batchTreeMajorMinNodes {
 		t.Fatalf("setup too small for the tree-major path: %d nodes", n)
 	}
 	refs := make([]*refNode, len(f.trees))

@@ -7,28 +7,24 @@ import (
 
 // Layout selects the traversal layout of a compiled tree ensemble.
 //
-// The canonical storage is always implicit-left preorder; the layout
-// chooses which derived form the prediction paths walk:
+// Every ensemble keeps one exact node table, the packed implicit-left
+// preorder records; the layout chooses which table the prediction paths
+// walk:
 //
 //   - LayoutImplicitLeft — the default: branchless descent over the
-//     canonical table (compare + conditional move, only the right-child
-//     array in the hot loop). Exact.
-//   - LayoutStandard — the explicit two-child branchy walk (the PR 3
-//     baseline), kept for benchmarking and the CI regression guard.
-//     Exact.
-//   - LayoutLevelOrder — a depth-bucketed level-order (BFS) table used
-//     for tree-major batch striding: a batch walks one level of one
-//     tree per pass. Single-row prediction uses the canonical walk.
-//     Exact.
+//     exact table (compare + arithmetic select, one 16-byte record per
+//     visited node). Exact.
 //   - LayoutQuant16 / LayoutQuant8 — opt-in quantized node tables:
 //     thresholds become per-feature affine-coded 16- or 8-bit integers
-//     and leaf values float32, shrinking the table ~3.5-4x so large
-//     ensembles fit L1/L2. Approximate: a split can only flip for
-//     rows within one quantization step of its threshold
-//     (feature-range / 65534 or / 254); see quant.go.
+//     and leaf values float32, ~3.5-4x smaller than the 28 B/node SoA
+//     form the persistence layer stores (about 2x smaller than the
+//     16 B/node exact walk table), so large ensembles fit L1/L2.
+//     Approximate: a split can only flip for rows within one
+//     quantization step of its threshold (feature-range / 65534 or
+//     / 254); see quant.go.
 //
-// Every exact layout produces bit-identical predictions (pinned by
-// TestCompiledEquivalence); quantized layouts are pinned by an
+// The exact layout is pinned bit-identical to the recursive reference
+// walk by TestCompiledEquivalence; quantized layouts are pinned by an
 // error-bound property test instead.
 type Layout int
 
@@ -36,12 +32,8 @@ const (
 	// LayoutDefault resolves to the process default (SetDefaultLayout)
 	// at apply time.
 	LayoutDefault Layout = iota
-	// LayoutImplicitLeft is the canonical branchless walk.
+	// LayoutImplicitLeft is the exact branchless walk.
 	LayoutImplicitLeft
-	// LayoutStandard is the explicit-child baseline walk.
-	LayoutStandard
-	// LayoutLevelOrder is the depth-bucketed batch-striding layout.
-	LayoutLevelOrder
 	// LayoutQuant16 is the 16-bit quantized table (approximate).
 	LayoutQuant16
 	// LayoutQuant8 is the 8-bit quantized table (approximate).
@@ -55,10 +47,6 @@ func (l Layout) String() string {
 		return "default"
 	case LayoutImplicitLeft:
 		return "implicit-left"
-	case LayoutStandard:
-		return "standard"
-	case LayoutLevelOrder:
-		return "level-order"
 	case LayoutQuant16:
 		return "quant16"
 	case LayoutQuant8:
@@ -72,24 +60,19 @@ func (l Layout) String() string {
 func (l Layout) Exact() bool { return l != LayoutQuant16 && l != LayoutQuant8 }
 
 // ParseLayout parses a layout name as accepted by the -layout flags:
-// default, implicit-left (alias branchless), standard, level-order,
-// quant16, quant8.
+// default, implicit-left (alias branchless), quant16, quant8.
 func ParseLayout(s string) (Layout, error) {
 	switch s {
 	case "", "default":
 		return LayoutDefault, nil
 	case "implicit-left", "branchless":
 		return LayoutImplicitLeft, nil
-	case "standard":
-		return LayoutStandard, nil
-	case "level-order":
-		return LayoutLevelOrder, nil
 	case "quant16":
 		return LayoutQuant16, nil
 	case "quant8":
 		return LayoutQuant8, nil
 	default:
-		return LayoutDefault, fmt.Errorf("ml: unknown layout %q (want default, implicit-left, standard, level-order, quant16 or quant8)", s)
+		return LayoutDefault, fmt.Errorf("ml: unknown layout %q (want default, implicit-left, quant16 or quant8)", s)
 	}
 }
 
@@ -124,39 +107,29 @@ func resolveLayout(l Layout) Layout {
 }
 
 // SetLayout switches the ensemble to the given traversal layout,
-// building whatever derived table it needs. Exact layouts cannot fail;
-// quantized layouts return an error when the ensemble exceeds the
-// 16-bit table's addressing limits (see buildQuantEnsemble). Not safe
-// to call concurrently with prediction: apply right after Fit/load,
-// before the ensemble is shared.
+// building the quantized table when one is asked for. The exact layout
+// cannot fail; quantized layouts return an error when the ensemble
+// exceeds the 16-bit table's addressing limits (see
+// buildQuantEnsemble). Not safe to call concurrently with prediction:
+// apply right after Fit/load, before the ensemble is shared.
 func (e *CompiledEnsemble) SetLayout(l Layout) error {
 	l = resolveLayout(l)
-	var (
-		hot     []hotNode
-		stdLeft []int32
-		lvl     *levelEnsemble
-		qt      *quantEnsemble
-		err     error
-	)
+	var qt *quantEnsemble
 	switch l {
 	case LayoutImplicitLeft:
-		hot = buildHotNodes(&e.nodes)
-	case LayoutStandard:
-		stdLeft = materializeLeft(&e.nodes)
-	case LayoutLevelOrder:
-		lvl = buildLevelEnsemble(e)
 	case LayoutQuant16, LayoutQuant8:
 		bits := 16
 		if l == LayoutQuant8 {
 			bits = 8
 		}
+		var err error
 		if qt, err = buildQuantEnsemble(e, bits); err != nil {
 			return err
 		}
 	default:
 		return fmt.Errorf("ml: unknown layout %d", int(l))
 	}
-	e.hot, e.stdLeft, e.lvl, e.qt = hot, stdLeft, lvl, qt
+	e.qt = qt
 	e.layout = l
 	return nil
 }
@@ -175,24 +148,10 @@ func (e *CompiledEnsemble) Layout() Layout {
 // fit/load (an explicit SetLayout call still surfaces the error).
 func (e *CompiledEnsemble) applyDefaultLayout() {
 	if err := e.SetLayout(DefaultLayout()); err != nil {
-		// Exact layouts cannot fail, so this can only be an
+		// The exact layout cannot fail, so this can only be an
 		// unquantizable ensemble: fall back to the exact default.
 		_ = e.SetLayout(LayoutImplicitLeft)
 	}
-}
-
-// materializeLeft rebuilds the explicit left-child array the canonical
-// layout keeps implicit: i+1 for internal nodes, -1 for leaves.
-func materializeLeft(c *CompiledTree) []int32 {
-	left := make([]int32, c.Len())
-	for i, f := range c.feature {
-		if f < 0 {
-			left[i] = -1
-		} else {
-			left[i] = int32(i) + 1
-		}
-	}
-	return left
 }
 
 // SetLayoutOf applies a traversal layout to a fitted estimator's
@@ -247,9 +206,8 @@ func SetLayoutOf(r Regressor, l Layout) error {
 		}
 		return fmt.Errorf("ml: cannot relayout a quantized model (its exact table was dropped)")
 	case *DecisionTree:
-		// A bare tree has no ensemble table; its canonical walk is
-		// already the branchless implicit-left form and the exact
-		// layouts coincide on it.
+		// A bare tree has no ensemble table; its walk is already the
+		// exact implicit-left form.
 		if l.Exact() {
 			return nil
 		}

@@ -40,6 +40,60 @@ func APE(yTrue, yPred float64) (float64, bool) {
 	return 100 * math.Abs(yPred-yTrue) / math.Abs(yTrue), true
 }
 
+// APEWindow is a fixed-capacity ring of APE samples with nearest-rank
+// quantiles over the samples it holds: the per-version served-accuracy
+// series of the online plane and the candidate/incumbent gate windows
+// of the rollout controller. It is unsynchronised; callers guard it
+// with their own lock.
+type APEWindow struct {
+	buf   []float64
+	next  int
+	count int
+}
+
+// NewAPEWindow returns an empty window holding the most recent
+// capacity samples (at least 1).
+func NewAPEWindow(capacity int) *APEWindow {
+	return &APEWindow{buf: make([]float64, max(capacity, 1))}
+}
+
+// Add records one sample, overwriting the oldest once full.
+func (w *APEWindow) Add(ape float64) {
+	w.buf[w.next] = ape
+	w.next = (w.next + 1) % len(w.buf)
+	if w.count < len(w.buf) {
+		w.count++
+	}
+}
+
+// Reset empties the window.
+func (w *APEWindow) Reset() { w.next, w.count = 0, 0 }
+
+// Len returns the number of samples held (0 for a nil window).
+func (w *APEWindow) Len() int {
+	if w == nil {
+		return 0
+	}
+	return w.count
+}
+
+// Quantiles returns the nearest-rank q-quantiles (0..1) of the held
+// samples, or nil when the window is empty.
+func (w *APEWindow) Quantiles(qs ...float64) []float64 {
+	if w.Len() == 0 {
+		return nil
+	}
+	vals := make([]float64, w.count)
+	copy(vals, w.buf[:w.count])
+	sort.Float64s(vals)
+	out := make([]float64, len(qs))
+	for i, q := range qs {
+		k := int(math.Ceil(q*float64(w.count))) - 1
+		out[i] = vals[min(max(k, 0), w.count-1)]
+	}
+	return out
+}
+
 // MedAPE returns the median absolute percentage error, in percent.
 func MedAPE(yTrue, yPred []float64) float64 {
 	checkSameLen(yTrue, yPred)

@@ -25,25 +25,9 @@ func GetScratch(n int) *[]float64 {
 // PutScratch returns a scratch vector to the pool.
 func PutScratch(p *[]float64) { f64Pool.Put(p) }
 
-// i32Pool and u16Pool recycle the integer scratch the alternative
-// traversal layouts need per batch/row: the level-order walk's per-row
-// cursor ([]int32) and the quantized walk's quantized feature row
+// u16Pool recycles the quantized walk's quantized feature rows
 // ([]uint16). Same pointer-boxing discipline as f64Pool.
-var (
-	i32Pool = sync.Pool{New: func() any { return new([]int32) }}
-	u16Pool = sync.Pool{New: func() any { return new([]uint16) }}
-)
-
-func getScratchI32(n int) *[]int32 {
-	p := i32Pool.Get().(*[]int32)
-	if cap(*p) < n {
-		*p = make([]int32, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putScratchI32(p *[]int32) { i32Pool.Put(p) }
+var u16Pool = sync.Pool{New: func() any { return new([]uint16) }}
 
 func getScratchU16(n int) *[]uint16 {
 	p := u16Pool.Get().(*[]uint16)

@@ -6,11 +6,12 @@ import (
 )
 
 // Quantized node tables (LayoutQuant16 / LayoutQuant8 and the
-// standalone QuantizedModel). The exact table spends 28 bytes per node
-// (feature i32, right i32, nSamples i32, threshold f64, value f64);
-// the quantized table spends 6 (16-bit) or 5 (8-bit) plus 4 bytes per
-// leaf value, a ~3.5-4x shrink that lets 100-tree ensembles sit in
-// L1/L2:
+// standalone QuantizedModel). The SoA form the member trees and the
+// artifacts hold spends 28 bytes per node (feature i32, right i32,
+// nSamples i32, threshold f64, value f64); the quantized table spends
+// 6 (16-bit) or 5 (8-bit) plus 4 bytes per leaf value, a ~3.5-4x
+// shrink against that form (~2x against the 16-byte exact walk
+// records) that lets 100-tree ensembles sit in L1/L2:
 //
 //   - thresholds are per-feature affine-coded unsigned integers:
 //     q(v) = clamp(floor((v - lo[f]) · scale[f]), 0, maxQ) with lo/hi
@@ -79,13 +80,13 @@ func (q *quantEnsemble) TableBytes() int {
 		len(q.leafVal)*4 + (len(q.roots)+len(q.leafBase))*4 + (len(q.lo)+len(q.scale))*8
 }
 
-// exactTableBytes is the canonical table's per-node footprint for the
-// same ensemble, for shrink-factor reporting.
+// exactTableBytes is the same ensemble's footprint in the 28 B/node SoA
+// form, the baseline the shrink factor is reported against.
 func exactTableBytes(e *CompiledEnsemble) int {
-	return e.nodes.Len()*28 + len(e.roots)*4
+	return e.NumNodes()*28 + len(e.roots)*4
 }
 
-// buildQuantEnsemble quantizes a compiled ensemble's node table. The
+// buildQuantEnsemble quantizes a compiled ensemble's hot table. The
 // feature arity is inferred from the table (max feature index + 1) —
 // unreferenced trailing features simply never participate in a split.
 // Errors when a tree exceeds the uint16 link space or a feature index
@@ -94,15 +95,15 @@ func buildQuantEnsemble(e *CompiledEnsemble, bits int) (*quantEnsemble, error) {
 	if bits != 8 && bits != 16 {
 		return nil, fmt.Errorf("ml: quantization bits must be 8 or 16, got %d", bits)
 	}
-	n := e.nodes.Len()
+	hot := e.hot
+	n := len(hot)
 	if n == 0 {
 		return nil, fmt.Errorf("ml: cannot quantize an empty ensemble")
 	}
-	c := &e.nodes
 	nFeatures := 0
-	for _, f := range c.feature {
-		if int(f) >= nFeatures {
-			nFeatures = int(f) + 1
+	for _, nd := range hot {
+		if int(nd.feature) >= nFeatures {
+			nFeatures = int(nd.feature) + 1
 		}
 	}
 	if nFeatures > math.MaxInt16 {
@@ -121,11 +122,11 @@ func buildQuantEnsemble(e *CompiledEnsemble, bits int) (*quantEnsemble, error) {
 	// Per-feature threshold range across the whole ensemble.
 	hi := make([]float64, nFeatures)
 	seen := make([]bool, nFeatures)
-	for i, f := range c.feature {
+	for _, nd := range hot {
+		f, t := nd.feature, nd.threshold
 		if f < 0 {
 			continue
 		}
-		t := c.threshold[i]
 		if !seen[f] {
 			q.lo[f], hi[f], seen[f] = t, t, true
 		} else {
@@ -155,11 +156,10 @@ func buildQuantEnsemble(e *CompiledEnsemble, bits int) (*quantEnsemble, error) {
 		}
 	}
 	qthr := make([]float64, n) // staging before narrowing
-	for i, f := range c.feature {
-		if f < 0 {
-			continue
+	for i, nd := range hot {
+		if f := nd.feature; f >= 0 {
+			qthr[i] = quantizeCode(nd.threshold, q.lo[f], q.scale[f], maxQ)
 		}
-		qthr[i] = quantizeCode(c.threshold[i], q.lo[f], q.scale[f], maxQ)
 	}
 	if q.bits == 8 {
 		q.qthr8 = make([]uint8, n)
@@ -186,15 +186,15 @@ func buildQuantEnsemble(e *CompiledEnsemble, bits int) (*quantEnsemble, error) {
 		q.leafBase = append(q.leafBase, int32(len(q.leafVal)))
 		leaves := 0
 		for g := int(root); g < end; g++ {
-			f := c.feature[g]
-			if f < 0 {
+			nd := hot[g]
+			if nd.feature < 0 {
 				q.feature[g] = -1
 				q.next[g] = uint16(leaves)
-				q.leafVal = append(q.leafVal, float32(c.value[g]))
+				q.leafVal = append(q.leafVal, float32(nd.threshold))
 				leaves++
 			} else {
-				q.feature[g] = int16(f)
-				q.next[g] = uint16(c.right[g] - root)
+				q.feature[g] = int16(nd.feature)
+				q.next[g] = uint16(nd.right - root)
 			}
 		}
 	}
@@ -220,25 +220,6 @@ func (q *quantEnsemble) quantizeRow(x []float64, qx []uint16) {
 	maxQ := q.maxQ()
 	for f := range qx {
 		qx[f] = uint16(quantizeCode(x[f], q.lo[f], q.scale[f], maxQ))
-	}
-}
-
-// quantWalk is the branchless implicit-left descent over a quantized
-// tree: identical control flow to CompiledTree.predictFrom but with
-// integer compares and a tree-local link array. Generic over the
-// threshold width so both modes share one loop body.
-func quantWalk[T uint8 | uint16](feature []int16, qthr []T, next []uint16, leafVal []float32, base, lbase int32, qx []uint16) float64 {
-	j := base
-	for {
-		f := feature[j]
-		if f < 0 {
-			return float64(leafVal[lbase+int32(next[j])])
-		}
-		nxt := base + int32(next[j])
-		if qx[f] <= uint16(qthr[j]) {
-			nxt = j + 1
-		}
-		j = nxt
 	}
 }
 
@@ -327,7 +308,7 @@ func (q *quantEnsemble) predictBatchInto(X [][]float64, out []float64) {
 	for i, x := range X {
 		q.quantizeRow(x, flat[i*p:(i+1)*p])
 	}
-	if int64(len(q.feature)) < batchTreeMajorMinNodes.Load() {
+	if len(q.feature) < batchTreeMajorMinNodes {
 		for i := range X {
 			out[i] = q.predictQuantized(flat[i*p : (i+1)*p])
 		}

@@ -9,41 +9,40 @@ import (
 
 // refQuantPredict is the executable specification of the quantized
 // walk: quantize the row and every threshold with quantizeCode, walk
-// the exact canonical table recursively with integer compares, read
-// leaves through float32. The table-driven quantWalk must reproduce it
-// bit for bit — this is the exactness half of the quantization pin;
-// the error-bound half is TestQuantizeErrorBound.
-func refQuantPredict(e *CompiledEnsemble, q *quantEnsemble, x []float64) float64 {
+// the member trees' exact SoA tables recursively with integer compares,
+// read leaves through float32. The table-driven quantized fold must
+// reproduce it bit for bit — this is the exactness half of the
+// quantization pin; the error-bound half is TestQuantizeErrorBound.
+func refQuantPredict(trees []*DecisionTree, q *quantEnsemble, x []float64) float64 {
 	maxQ := q.maxQ()
 	qx := make([]uint16, q.nFeatures)
 	for f := range qx {
 		qx[f] = uint16(quantizeCode(x[f], q.lo[f], q.scale[f], maxQ))
 	}
-	c := &e.nodes
-	var walk func(i int32) float64
-	walk = func(i int32) float64 {
+	var walk func(c *CompiledTree, i int32) float64
+	walk = func(c *CompiledTree, i int32) float64 {
 		f := c.feature[i]
 		if f < 0 {
 			return float64(float32(c.value[i]))
 		}
 		qt := uint16(quantizeCode(c.threshold[i], q.lo[f], q.scale[f], maxQ))
 		if qx[f] <= qt {
-			return walk(i + 1)
+			return walk(c, i+1)
 		}
-		return walk(c.right[i])
+		return walk(c, c.right[i])
 	}
 	if q.combine == combineBoosted {
 		out := q.init
-		for _, r := range e.roots {
-			out += q.rate * walk(r)
+		for _, t := range trees {
+			out += q.rate * walk(&t.nodes, 0)
 		}
 		return out
 	}
 	s := 0.0
-	for _, r := range e.roots {
-		s += walk(r)
+	for _, t := range trees {
+		s += walk(&t.nodes, 0)
 	}
-	return s / float64(len(e.roots))
+	return s / float64(len(trees))
 }
 
 // quantStep returns feature f's quantization step (the width of one
@@ -64,10 +63,10 @@ func quantStep(q *quantEnsemble, f int) float64 {
 // tree stays clear of that band is exact up to float32 leaf rounding.
 // Only visited nodes matter — a band elsewhere in the tree is never
 // compared against.
-func safeRow(e *CompiledEnsemble, q *quantEnsemble, x []float64) bool {
-	c := &e.nodes
-	for _, root := range e.roots {
-		i := root
+func safeRow(trees []*DecisionTree, q *quantEnsemble, x []float64) bool {
+	for _, tr := range trees {
+		c := &tr.nodes
+		i := int32(0)
 		for {
 			f := c.feature[i]
 			if f < 0 {
@@ -93,7 +92,7 @@ func safeRow(e *CompiledEnsemble, q *quantEnsemble, x []float64) bool {
 // and both combine modes, single and batch, on both sides of the
 // tree-major threshold.
 func TestQuantizedMatchesReference(t *testing.T) {
-	defer SetBatchTreeMajorThreshold(0)
+	keepTreeMajorThreshold(t)
 	rng := rand.New(rand.NewSource(0x9a17))
 	for trial := 0; trial < 6; trial++ {
 		n := 40 + rng.Intn(160)
@@ -113,10 +112,10 @@ func TestQuantizedMatchesReference(t *testing.T) {
 
 		for _, bits := range []int{16, 8} {
 			for _, src := range []struct {
-				name string
-				r    Regressor
-				e    *CompiledEnsemble
-			}{{"forest", f, f.compiled}, {"gbr", g, g.compiled}} {
+				name  string
+				r     Regressor
+				trees []*DecisionTree
+			}{{"forest", f, f.trees}, {"gbr", g, g.stages}} {
 				qr, err := Quantize(src.r, bits)
 				if err != nil {
 					t.Fatalf("%s/%d: %v", src.name, bits, err)
@@ -127,12 +126,12 @@ func TestQuantizedMatchesReference(t *testing.T) {
 				}
 				out := make([]float64, len(Xq))
 				for _, thr := range []int{1 << 30, 1} {
-					SetBatchTreeMajorThreshold(thr)
+					batchTreeMajorMinNodes = thr
 					if err := qm.PredictBatchInto(Xq, out); err != nil {
 						t.Fatal(err)
 					}
 					for i, x := range Xq {
-						want := refQuantPredict(src.e, qm.q, x)
+						want := refQuantPredict(src.trees, qm.q, x)
 						if !sameBits(out[i], want) {
 							t.Fatalf("%s/%d thr=%d row %d: batch %x != reference %x", src.name, bits, thr, i, out[i], want)
 						}
@@ -183,7 +182,7 @@ func TestQuantizeErrorBound(t *testing.T) {
 			qm := qr.(*QuantizedModel)
 			safe, maxRel := 0, 0.0
 			for _, x := range Xq {
-				if !safeRow(f.compiled, qm.q, x) {
+				if !safeRow(f.trees, qm.q, x) {
 					continue
 				}
 				safe++
@@ -207,8 +206,9 @@ func TestQuantizeErrorBound(t *testing.T) {
 // TestQuantizedTableShrink pins the footprint claim. A binary tree is
 // always ~half leaves (L = I + 1), so per node the 16-bit table spends
 // ~8 bytes (feature 2 + next 2 + qthr 2 + ~half a float32 leaf 2) and
-// the 8-bit one ~7, against 28 exact — structural ratios of ~3.5x and
-// ~4x. The floors leave headroom for the per-tree and per-feature
+// the 8-bit one ~7, against 28 in the SoA form artifacts store —
+// structural ratios of ~3.5x and ~4x (about 2x against the 16-byte
+// exact walk records). The floors leave headroom for the per-tree and per-feature
 // side tables.
 func TestQuantizedTableShrink(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5123))

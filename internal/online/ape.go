@@ -1,58 +1,22 @@
 package online
 
 import (
-	"math"
 	"sort"
 
 	"lam/internal/ml"
 )
 
-// apeWindow is a bounded ring of absolute-percentage-error values for
-// one served (model, version). Like window it is unsynchronised: the
-// model's state lock guards it. A separate ring per version — rather
-// than a version tag on the main window — keeps the retraining plane
-// untouched while giving /metrics the per-version accuracy series
-// (lam_served_ape{model,version}) a progressive-delivery controller
-// compares across a canary and its baseline.
-type apeWindow struct {
-	buf   []float64
-	next  int
-	count int
-}
-
-func newAPEWindow(capacity int) *apeWindow {
-	return &apeWindow{buf: make([]float64, capacity)}
-}
-
-func (w *apeWindow) add(ape float64) {
-	w.buf[w.next] = ape
-	w.next = (w.next + 1) % len(w.buf)
-	if w.count < len(w.buf) {
-		w.count++
-	}
-}
-
-// quantiles returns the q-quantiles (0..1, nearest-rank) of the held
-// values. Returns nil when empty.
-func (w *apeWindow) quantiles(qs ...float64) []float64 {
-	if w.count == 0 {
-		return nil
-	}
-	vals := make([]float64, w.count)
-	copy(vals, w.buf[:w.count])
-	sort.Float64s(vals)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		idx := int(math.Ceil(q*float64(len(vals)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(vals) {
-			idx = len(vals) - 1
-		}
-		out[i] = vals[idx]
-	}
-	return out
+// versionAPE is the served-accuracy ring of one (model, version). Like
+// window it is unsynchronised: the model's state lock guards it. A
+// separate ring per version — rather than a version tag on the main
+// window — keeps the retraining plane untouched while giving /metrics
+// the per-version accuracy series (lam_served_ape{model,version}) a
+// progressive-delivery controller compares across a canary and its
+// baseline.
+type versionAPE struct {
+	win *ml.APEWindow
+	// last is the model's apeSeq at this version's latest observation.
+	last uint64
 }
 
 // keepAPEVersions bounds the per-version rings kept per model: the
@@ -96,10 +60,10 @@ func (p *Plane) ServedAPE() []ServedAPE {
 		}
 		sort.Ints(versions)
 		for _, v := range versions {
-			w := e.st.ape[v]
-			if qs := w.quantiles(0.5, 0.9, 0.99); qs != nil {
+			w := e.st.ape[v].win
+			if qs := w.Quantiles(0.5, 0.9, 0.99); qs != nil {
 				out = append(out, ServedAPE{
-					Model: e.name, Version: v, Count: w.count,
+					Model: e.name, Version: v, Count: w.Len(),
 					P50: qs[0], P90: qs[1], P99: qs[2],
 				})
 			}
@@ -110,27 +74,31 @@ func (p *Plane) ServedAPE() []ServedAPE {
 }
 
 // recordAPELocked feeds one observation's APE into the ring for the
-// served version, creating the ring (and evicting the oldest version
-// past keepAPEVersions) on first sight. Caller holds st.mu.
+// served version, creating the ring on first sight. Past
+// keepAPEVersions it evicts the least recently observed version, never
+// the live incumbent that keeps receiving traffic while canaries come
+// and go. Caller holds st.mu.
 func (st *modelState) recordAPELocked(version, capacity int, observed, predicted float64) {
 	if st.ape == nil {
-		st.ape = make(map[int]*apeWindow)
+		st.ape = make(map[int]*versionAPE)
 	}
-	w := st.ape[version]
-	if w == nil {
+	st.apeSeq++
+	va := st.ape[version]
+	if va == nil {
 		if len(st.ape) >= keepAPEVersions {
-			oldest := -1
-			for v := range st.ape {
-				if oldest < 0 || v < oldest {
-					oldest = v
+			stale := -1
+			for v, o := range st.ape {
+				if stale < 0 || o.last < st.ape[stale].last {
+					stale = v
 				}
 			}
-			delete(st.ape, oldest)
+			delete(st.ape, stale)
 		}
-		w = newAPEWindow(capacity)
-		st.ape[version] = w
+		va = &versionAPE{win: ml.NewAPEWindow(capacity)}
+		st.ape[version] = va
 	}
+	va.last = st.apeSeq
 	if ape, ok := ml.APE(observed, predicted); ok {
-		w.add(ape)
+		va.win.Add(ape)
 	}
 }

@@ -483,3 +483,36 @@ func TestRetrainRegressorKind(t *testing.T) {
 		t.Fatalf("retrained meta lacks provenance: %+v", m2.Meta)
 	}
 }
+
+// TestAPEEvictsLeastRecentlyObserved pins the per-version ring
+// eviction: the live incumbent v1 keeps taking traffic while canaries
+// v2..v5 each take one observation, so when the fifth version arrives
+// the evicted ring is the least recently observed canary (v2), not the
+// lowest version number — which would drop the incumbent's
+// lam_served_ape history.
+func TestAPEEvictsLeastRecentlyObserved(t *testing.T) {
+	st := &modelState{}
+	for i := 0; i < 10; i++ {
+		st.recordAPELocked(1, 8, 100, 110)
+	}
+	for v := 2; v <= 5; v++ {
+		st.recordAPELocked(v, 8, 100, 120)
+		st.recordAPELocked(1, 8, 100, 110)
+	}
+	if len(st.ape) != keepAPEVersions {
+		t.Fatalf("tracking %d versions, want %d", len(st.ape), keepAPEVersions)
+	}
+	if _, ok := st.ape[2]; ok {
+		t.Error("least recently observed v2 was not evicted")
+	}
+	for _, v := range []int{1, 3, 4, 5} {
+		if _, ok := st.ape[v]; !ok {
+			t.Errorf("v%d lost its ring", v)
+		}
+	}
+	if w := st.ape[1].win; w.Len() != 8 {
+		t.Errorf("incumbent ring holds %d samples, want a full 8", w.Len())
+	} else if q := w.Quantiles(0.5); q[0] != 10 {
+		t.Errorf("incumbent p50 APE = %v, want 10", q[0])
+	}
+}

@@ -126,8 +126,11 @@ type modelState struct {
 	// would invalidate the comparison window. Set via SetRetrainPaused.
 	paused bool
 	// ape holds one APE ring per served version (at most
-	// keepAPEVersions), the backing data of lam_served_ape.
-	ape map[int]*apeWindow
+	// keepAPEVersions), the backing data of lam_served_ape; apeSeq
+	// numbers the observations so eviction can find the least
+	// recently observed version.
+	ape    map[int]*versionAPE
+	apeSeq uint64
 
 	trips, started, published, discarded, errs uint64
 	lastTripMAPE                               float64

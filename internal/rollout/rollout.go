@@ -188,8 +188,8 @@ type modelRollout struct {
 	loaded                bool // persisted state consulted
 	st                    registry.RolloutState
 	cand                  *registry.Model
-	candWin               *apeRing
-	incWin                *apeRing
+	candWin               *ml.APEWindow
+	incWin                *ml.APEWindow
 	promotions, rollbacks uint64
 }
 
@@ -342,8 +342,8 @@ func (c *Controller) resumeLocked(ctx context.Context, m *modelRollout, after *[
 		return
 	}
 	m.cand = cm
-	m.candWin = newAPERing(c.cfg.WindowSize)
-	m.incWin = newAPERing(c.cfg.WindowSize)
+	m.candWin = ml.NewAPEWindow(c.cfg.WindowSize)
+	m.incWin = ml.NewAPEWindow(c.cfg.WindowSize)
 	if cb := c.OnBegin; cb != nil {
 		name, ver := m.name, m.st.Candidate
 		*after = append(*after, func() { cb(name, ver) })
@@ -403,8 +403,8 @@ func (c *Controller) beginLocked(ctx context.Context, m *modelRollout, candidate
 		return
 	}
 	m.cand = cm
-	m.candWin = newAPERing(c.cfg.WindowSize)
-	m.incWin = newAPERing(c.cfg.WindowSize)
+	m.candWin = ml.NewAPEWindow(c.cfg.WindowSize)
+	m.incWin = ml.NewAPEWindow(c.cfg.WindowSize)
 	m.st.Pinned = incumbent
 	m.st.Candidate = candidate
 	m.st.Phase = phaseShadowStr
@@ -456,12 +456,12 @@ func (c *Controller) Ingest(ctx context.Context, name string, candObs, candPred,
 	}
 	for i := range candObs {
 		if ape, ok := ml.APE(candObs[i], candPred[i]); ok {
-			m.candWin.add(ape)
+			m.candWin.Add(ape)
 		}
 	}
 	for i := range incObs {
 		if ape, ok := ml.APE(incObs[i], incPred[i]); ok {
-			m.incWin.add(ape)
+			m.incWin.Add(ape)
 		}
 	}
 	if !m.st.Paused {
@@ -486,11 +486,11 @@ func (c *Controller) gateLocked(m *modelRollout, after *[]func()) {
 	if m.st.Phase == phaseCanaryStr {
 		need = c.cfg.StageSamples
 	}
-	if m.candWin.count < need || m.incWin.count < need {
+	if m.candWin.Len() < need || m.incWin.Len() < need {
 		return
 	}
-	cq := m.candWin.quantiles(0.5, 0.9)
-	iq := m.incWin.quantiles(0.5, 0.9)
+	cq := apeQuantiles(m.candWin, 0.5, 0.9)
+	iq := apeQuantiles(m.incWin, 0.5, 0.9)
 	beats := cq[0] <= c.cfg.PromoteRatio*iq[0] && cq[1] <= c.cfg.PromoteRatio*iq[1]
 	gate := m.st.Phase
 	if gate == phaseCanaryStr {
@@ -508,7 +508,7 @@ func (c *Controller) gateLocked(m *modelRollout, after *[]func()) {
 		m.st.Stage = 0
 		// The candidate's shadow window judged it on traffic it was not
 		// serving; each canary gate re-proves it on the traffic it is.
-		m.candWin.reset()
+		m.candWin.Reset()
 		m.st.LastTransition = fmt.Sprintf("v%d passed shadow, canary stage 0 (%.0f%%)",
 			m.st.Candidate, 100*c.stageFraction(0))
 		c.persistLocked(m)
@@ -519,7 +519,7 @@ func (c *Controller) gateLocked(m *modelRollout, after *[]func()) {
 			return
 		}
 		m.st.Stage++
-		m.candWin.reset()
+		m.candWin.Reset()
 		m.st.LastTransition = fmt.Sprintf("v%d advanced to canary stage %d (%.0f%%)",
 			m.st.Candidate, m.st.Stage, 100*c.stageFraction(m.st.Stage))
 		c.persistLocked(m)
@@ -705,12 +705,12 @@ func (c *Controller) statusLocked(m *modelRollout) Status {
 	return st
 }
 
-func windowStats(w *apeRing) WindowStats {
-	if w == nil || w.count == 0 {
+func windowStats(w *ml.APEWindow) WindowStats {
+	q := w.Quantiles(0.5, 0.9, 0.99)
+	if q == nil {
 		return WindowStats{}
 	}
-	q := w.quantiles(0.5, 0.9, 0.99)
-	return WindowStats{Count: w.count, P50: q[0], P90: q[1], P99: q[2]}
+	return WindowStats{Count: w.Len(), P50: q[0], P90: q[1], P99: q[2]}
 }
 
 // viewLocked builds the immutable request-path snapshot.

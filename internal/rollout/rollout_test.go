@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"lam/internal/ml"
 	"lam/internal/registry"
 )
 
@@ -358,31 +359,38 @@ func TestControllerOperatorActions(t *testing.T) {
 }
 
 // TestAPERingQuantiles pins the nearest-rank quantile math the gates
-// ride on, including wrap-around once the ring is full.
+// ride on, including wrap-around once the ring is full, and the
+// rollout's NaN-when-empty result and capacity clamp.
 func TestAPERingQuantiles(t *testing.T) {
-	r := newAPERing(4)
-	if q := r.quantiles(0.5); !math.IsNaN(q[0]) {
+	one := ml.NewAPEWindow(0) // clamps to a single slot
+	one.Add(7)
+	one.Add(9)
+	if q := apeQuantiles(one, 0.5); one.Len() != 1 || q[0] != 9 {
+		t.Fatalf("zero-capacity window holds %d samples, p50 %v; want 1, 9", one.Len(), q[0])
+	}
+	r := ml.NewAPEWindow(4)
+	if q := apeQuantiles(r, 0.5); !math.IsNaN(q[0]) {
 		t.Fatal("empty ring must report NaN")
 	}
 	for _, v := range []float64{40, 10, 30, 20} {
-		r.add(v)
+		r.Add(v)
 	}
-	q := r.quantiles(0.5, 0.9)
+	q := apeQuantiles(r, 0.5, 0.9)
 	if q[0] != 20 || q[1] != 40 {
 		t.Fatalf("quantiles of {10,20,30,40}: p50=%v p90=%v, want 20,40", q[0], q[1])
 	}
 	// Overwrite the oldest two: window is now {30,20,100,100}.
-	r.add(100)
-	r.add(100)
-	if r.count != 4 {
-		t.Fatalf("ring count = %d, want 4", r.count)
+	r.Add(100)
+	r.Add(100)
+	if r.Len() != 4 {
+		t.Fatalf("ring count = %d, want 4", r.Len())
 	}
-	q = r.quantiles(0.5)
+	q = apeQuantiles(r, 0.5)
 	if q[0] != 30 {
 		t.Fatalf("p50 after wrap = %v, want 30", q[0])
 	}
-	r.reset()
-	if r.count != 0 {
+	r.Reset()
+	if r.Len() != 0 {
 		t.Fatal("reset must empty the ring")
 	}
 }

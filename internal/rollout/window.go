@@ -2,61 +2,25 @@ package rollout
 
 import (
 	"math"
-	"sort"
+
+	"lam/internal/ml"
 )
 
-// apeRing is a fixed-capacity ring of absolute-percentage-error
-// samples, one per scored observation row. The rollout gate compares
-// the candidate's and incumbent's rings at matching quantiles, so both
-// sides are judged on the same recent traffic rather than on lifetime
-// averages that an old incumbent would win on volume alone.
-type apeRing struct {
-	buf   []float64
-	next  int
-	count int
-}
+// The rollout gate compares the candidate's and incumbent's APE windows
+// (ml.APEWindow, one sample per scored observation row) at matching
+// quantiles, so both sides are judged on the same recent traffic rather
+// than on lifetime averages that an old incumbent would win on volume
+// alone.
 
-func newAPERing(capacity int) *apeRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &apeRing{buf: make([]float64, capacity)}
-}
-
-func (w *apeRing) add(v float64) {
-	w.buf[w.next] = v
-	w.next = (w.next + 1) % len(w.buf)
-	if w.count < len(w.buf) {
-		w.count++
-	}
-}
-
-func (w *apeRing) reset() {
-	w.next, w.count = 0, 0
-}
-
-// quantiles returns nearest-rank quantiles over the current window;
-// NaN for each when the window is empty.
-func (w *apeRing) quantiles(qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	if w == nil || w.count == 0 {
-		for i := range out {
-			out[i] = math.NaN()
-		}
+// apeQuantiles returns w's nearest-rank quantiles, NaN for each when
+// the window is empty, so no comparison against an empty side passes.
+func apeQuantiles(w *ml.APEWindow, qs ...float64) []float64 {
+	if out := w.Quantiles(qs...); out != nil {
 		return out
 	}
-	tmp := make([]float64, w.count)
-	copy(tmp, w.buf[:w.count])
-	sort.Float64s(tmp)
-	for i, q := range qs {
-		k := int(math.Ceil(q*float64(w.count))) - 1
-		if k < 0 {
-			k = 0
-		}
-		if k >= w.count {
-			k = w.count - 1
-		}
-		out[i] = tmp[k]
+	out := make([]float64, len(qs))
+	for i := range out {
+		out[i] = math.NaN()
 	}
 	return out
 }

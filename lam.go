@@ -130,14 +130,6 @@ func AnalyticalModelFor(workload string, m *Machine) (AnalyticalModel, error) {
 	return experiments.AMByDataset(workload, m)
 }
 
-// TrainHybrid trains the paper's hybrid model on a training dataset.
-//
-// Deprecated: use TrainHybridCtx, which supports cancellation; this
-// wrapper is equivalent to TrainHybridCtx(context.Background(), …).
-func TrainHybrid(train *Dataset, am AnalyticalModel, cfg HybridConfig) (*HybridModel, error) {
-	return hybrid.Train(train, am, cfg)
-}
-
 // NewExtraTrees returns the paper's best pure-ML estimator: a
 // standardising pipeline feeding an extra-trees ensemble.
 func NewExtraTrees(nTrees int, seed int64) Regressor {
@@ -158,33 +150,8 @@ func NewDecisionTree(seed int64) Regressor {
 // paper's headline metric.
 func MAPE(yTrue, yPred []float64) float64 { return ml.MAPE(yTrue, yPred) }
 
-// PredictBatch applies a fitted regressor to every row of X.
-//
-// Deprecated: use PredictBatchCtx, which supports cancellation and
-// returns typed errors instead of panicking on unfitted models.
-func PredictBatch(r Regressor, X [][]float64) []float64 { return ml.PredictBatch(r, X) }
-
-// Figure regenerates one of the paper's figures: "fig3a", "fig3b",
-// "fig5", "fig6", "fig7", "fig8" (see EXPERIMENTS.md §Figures).
-//
-// Deprecated: use FigureCtx, which supports cancellation; this wrapper
-// is equivalent to FigureCtx(context.Background(), …).
-func Figure(id string, opts FigureOptions) (*Report, error) {
-	return experiments.Run(id, opts)
-}
-
 // FigureIDs lists the reproducible figures in paper order.
 func FigureIDs() []string { return experiments.AllFigureIDs() }
-
-// Figures regenerates several figures concurrently on the worker pool
-// and returns the reports in input order; the output matches len(ids)
-// sequential Figure calls exactly.
-//
-// Deprecated: use FiguresCtx, which supports cancellation; this
-// wrapper is equivalent to FiguresCtx(context.Background(), …).
-func Figures(ids []string, opts FigureOptions) ([]*Report, error) {
-	return experiments.RunMany(ids, opts)
-}
 
 // AnalyticalMAPE scores an analytical model alone against a dataset.
 func AnalyticalMAPE(ds *Dataset, am AnalyticalModel) (float64, error) {
@@ -204,20 +171,3 @@ func SaveRegressor(w io.Writer, m Regressor) error { return ml.SaveModel(w, m) }
 
 // LoadRegressor restores a regressor saved with SaveRegressor.
 func LoadRegressor(r io.Reader) (Regressor, error) { return ml.LoadModel(r) }
-
-// NoiseSensitivity runs the extension experiment sweeping simulator
-// noise levels (see EXPERIMENTS.md §Extensions).
-//
-// Deprecated: use NoiseSensitivityCtx, which supports cancellation.
-func NoiseSensitivity(opts FigureOptions, noiseLevels []float64) (*Report, error) {
-	return experiments.NoiseSensitivity(opts, noiseLevels)
-}
-
-// HardwareTransfer runs the extension experiment measuring accuracy per
-// re-measurement budget after a machine change (see EXPERIMENTS.md
-// §Extensions).
-//
-// Deprecated: use HardwareTransferCtx, which supports cancellation.
-func HardwareTransfer(opts FigureOptions, target *Machine, budgets []float64) (*Report, error) {
-	return experiments.HardwareTransfer(opts, target, budgets)
-}

@@ -4,30 +4,25 @@ import "lam/internal/ml"
 
 // Layout selects the traversal layout of compiled tree ensembles — the
 // raw-speed knob of the inference plane. See internal/ml's Layout for
-// the full taxonomy; in short:
+// details; in short:
 //
-//   - LayoutImplicitLeft (default): branchless descent over the
-//     canonical implicit-left preorder table. Exact.
-//   - LayoutStandard: the explicit two-child branchy walk, kept as the
-//     benchmarking baseline. Exact.
-//   - LayoutLevelOrder: depth-bucketed level-order table for tree-major
-//     batch striding. Exact.
-//   - LayoutQuant16 / LayoutQuant8: opt-in quantized node tables, ~3.5-4x
-//     smaller, approximate within one quantization step per split.
+//   - LayoutImplicitLeft (default): branchless descent over the packed
+//     16 B/node implicit-left preorder table. Exact.
+//   - LayoutQuant16 / LayoutQuant8: opt-in quantized node tables,
+//     ~3.5-4x smaller than the 28 B/node SoA form artifacts store,
+//     approximate within one quantization step per split.
 type Layout = ml.Layout
 
 // Re-exported layout constants; see Layout.
 const (
 	LayoutDefault      = ml.LayoutDefault
 	LayoutImplicitLeft = ml.LayoutImplicitLeft
-	LayoutStandard     = ml.LayoutStandard
-	LayoutLevelOrder   = ml.LayoutLevelOrder
 	LayoutQuant16      = ml.LayoutQuant16
 	LayoutQuant8       = ml.LayoutQuant8
 )
 
 // ParseLayout parses a -layout flag value: default, implicit-left
-// (alias branchless), standard, level-order, quant16, quant8.
+// (alias branchless), quant16, quant8.
 func ParseLayout(s string) (Layout, error) { return ml.ParseLayout(s) }
 
 // SetDefaultLayout sets the process-default traversal layout applied to
@@ -50,17 +45,8 @@ func LayoutOf(r Regressor) (Layout, bool) { return ml.LayoutOf(r) }
 
 // Quantize converts a fitted tree-based regressor into a frozen
 // serving-only model with bits-wide (8 or 16) integer thresholds and
-// float32 leaves — a ~3.5-4x smaller node table. The result is
+// float32 leaves — ~3.5-4x smaller than the 28 B/node SoA form. The result is
 // approximate (within one quantization step per split) and cannot be
 // refitted; publish it as a new artifact version, never over the exact
 // model. The source model is not modified.
 func Quantize(r Regressor, bits int) (Regressor, error) { return ml.Quantize(r, bits) }
-
-// SetBatchTreeMajorThreshold retunes the node-count threshold above
-// which batch prediction switches from row-major to tree-major
-// traversal. n < 1 restores the built-in default (4096). The switch is
-// bit-identical either way; this is purely a cache-behaviour knob.
-func SetBatchTreeMajorThreshold(n int) { ml.SetBatchTreeMajorThreshold(n) }
-
-// BatchTreeMajorThreshold returns the current switchover threshold.
-func BatchTreeMajorThreshold() int { return ml.BatchTreeMajorThreshold() }

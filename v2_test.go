@@ -62,7 +62,10 @@ func TestPredictorAdaptersBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := PredictBatch(et, X)
+	seq, err := PredictBatchCtx(ctx, et, X)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range X {
 		if got[i] != seq[i] {
 			t.Fatalf("ml row %d: %v != %v", i, got[i], seq[i])
@@ -153,7 +156,7 @@ func TestUnknownSentinelsOnFacade(t *testing.T) {
 	if _, err := BuildDataset("nope", BlueWaters(), 1); !errors.Is(err, ErrUnknownWorkload) {
 		t.Fatalf("workload: got %v, want ErrUnknownWorkload", err)
 	}
-	if _, err := Figure("nope", FigureOptions{}); !errors.Is(err, ErrUnknownFigure) {
+	if _, err := FigureCtx(context.Background(), "nope", FigureOptions{}); !errors.Is(err, ErrUnknownFigure) {
 		t.Fatalf("figure: got %v, want ErrUnknownFigure", err)
 	}
 }
