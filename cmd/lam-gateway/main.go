@@ -18,8 +18,9 @@
 // Routing: POST /predict and /observe are routed by consistent hashing
 // on the model name — each model has a primary replica and a
 // deterministic spill-over order through the rest of the fleet, with a
-// bounded-load check (-bound-factor) that moves requests off a replica
-// whose in-flight count runs past the fleet mean. -route random
+// bounded-load check (-bound-factor) that moves /predict requests off a
+// replica whose in-flight count runs past the fleet mean (/observe
+// stays on its home replica). -route random
 // replaces this with uniform-random selection: the measurement
 // baseline for what affinity buys (see BENCH_PR7.json).
 //

@@ -15,9 +15,11 @@
 // single-row traffic lands on one replica, and per-model observation
 // windows (internal/online) only see a coherent stream the same way.
 // A bounded-load check (Config.BoundFactor, the consistent-hashing-
-// with-bounded-loads rule) rotates a request off its primary while
+// with-bounded-loads rule) rotates a /predict off its primary while
 // that replica's in-flight count exceeds BoundFactor × the fleet mean,
 // so one hot model cannot melt one replica while the rest idle.
+// /observe never takes that spill: it stays on its home replica, whose
+// window alone retrains and publishes the model.
 //
 // # Health
 //

@@ -264,7 +264,7 @@ func (g *Gateway) proxyRollout(w http.ResponseWriter, r *http.Request) {
 	}
 	var orderBuf [maxBackends]int
 	rsp := telemetry.StartSpan(ctx, "route")
-	order := g.tryOrder(name, orderBuf[:])
+	order := g.tryOrder(name, false, orderBuf[:])
 	rsp.End()
 	if len(order) == 0 {
 		g.Metrics.NoBackend.Add(1)
@@ -328,10 +328,14 @@ type modelPeek struct {
 
 // tryOrder returns the ordered backends this request may attempt:
 // live candidates in ring order for the model (or a uniform-random
-// permutation in Random mode), rotated so the first entry respects the
-// bounded-load rule and active cooldowns. The walk is the routing
-// decision proper and is what the route-latency histogram measures.
-func (g *Gateway) tryOrder(model string, buf []int) []int {
+// permutation in Random mode), rotated past active cooldowns and, when
+// spill is set, so the first entry respects the bounded-load rule. Only
+// /predict spills: an /observe moved off its home replica would feed a
+// second replica's window, which retrains and publishes into the shared
+// registry, so the replicas would roll out different versions of one
+// model. The walk is the routing decision proper and is what the
+// route-latency histogram measures.
+func (g *Gateway) tryOrder(model string, spill bool, buf []int) []int {
 	start := time.Now()
 	defer func() { g.Metrics.RouteLatency.Observe(time.Since(start)) }()
 
@@ -361,7 +365,7 @@ func (g *Gateway) tryOrder(model string, buf []int) []int {
 	// Bounded load: skip the primary while its in-flight count exceeds
 	// BoundFactor × the live-fleet mean. The chosen start is a rotation,
 	// not a reorder — spill-over retries still walk the ring sequence.
-	if g.cfg.BoundFactor > 1 {
+	if spill && g.cfg.BoundFactor > 1 {
 		var total int64
 		for _, b := range g.backends {
 			total += b.metrics.Inflight.Load()
@@ -446,7 +450,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, endpoint string,
 
 	var orderBuf [maxBackends]int
 	rsp := telemetry.StartSpan(ctx, "route")
-	order := g.tryOrder(peek.Model, orderBuf[:])
+	order := g.tryOrder(peek.Model, endpoint == "/predict", orderBuf[:])
 	rsp.End()
 	if len(order) == 0 {
 		g.Metrics.NoBackend.Add(1)

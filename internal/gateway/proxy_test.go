@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -207,6 +208,62 @@ func TestObserveRetryPolicy(t *testing.T) {
 	}
 	if aliveHits != 1 {
 		t.Fatalf("predict retry hit the survivor %d time(s), want 1", aliveHits)
+	}
+}
+
+// TestObserveStaysHome: with the home replica's in-flight count past
+// the bounded-load bound, /predict spills to the next ring candidate
+// while /observe still lands at home — an observation moved off its
+// home replica would feed a second window that retrains and publishes
+// into the shared registry.
+func TestObserveStaysHome(t *testing.T) {
+	var hits [2][2]atomic.Int64 // [backend][0 = /predict, 1 = /observe]
+	mk := func(i int) *httptest.Server {
+		return stubBackend(t, func(w http.ResponseWriter, r *http.Request) {
+			ep := 0
+			if r.URL.Path == "/observe" {
+				ep = 1
+			}
+			hits[i][ep].Add(1)
+			_, _ = io.Copy(io.Discard, r.Body)
+			fmt.Fprint(w, `{}`)
+		})
+	}
+	s0, s1 := mk(0), mk(1)
+	g, err := New([]string{s0.URL, s1.URL}, Config{Health: slowHealth, BoundFactor: 1.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+
+	model := modelWithPrimary(t, g, 0)
+	// Home holds 10 requests, the other replica none: the bound is
+	// 1.25 × (10+1) / 2 = 6, so home is past it.
+	g.backends[0].metrics.Inflight.Add(10)
+	defer g.backends[0].metrics.Inflight.Add(-10)
+
+	resp, got := postJSON(t, gw.URL+"/predict", []byte(fmt.Sprintf(`{"model":%q,"x":[1]}`, model)))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict status %d: %s", resp.StatusCode, got)
+	}
+	if hits[0][0].Load() != 0 || hits[1][0].Load() != 1 {
+		t.Fatalf("/predict hits home %d, other %d; want it spilled off the loaded home", hits[0][0].Load(), hits[1][0].Load())
+	}
+	if got := g.backends[0].metrics.SpillsAway.Load(); got != 1 {
+		t.Fatalf("home spills_away = %d, want 1", got)
+	}
+
+	resp, got = postJSON(t, gw.URL+"/observe", []byte(fmt.Sprintf(`{"model":%q,"x":[1],"y":0.5}`, model)))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("observe status %d: %s", resp.StatusCode, got)
+	}
+	if hits[0][1].Load() != 1 || hits[1][1].Load() != 0 {
+		t.Fatalf("/observe hits home %d, other %d; want it at home", hits[0][1].Load(), hits[1][1].Load())
+	}
+	if got := g.backends[0].metrics.SpillsAway.Load(); got != 1 {
+		t.Fatalf("home spills_away = %d after /observe, want still 1", got)
 	}
 }
 

@@ -199,16 +199,6 @@ func (m *Model) Config() Config { return m.cfg }
 // IsFitted reports whether the model carries a trained ML component.
 func (m *Model) IsFitted() bool { return m != nil && m.mlModel != nil }
 
-// SetLayout switches the ML component's compiled tree plane to the
-// given traversal layout (see ml.Layout). Not concurrency-safe: apply
-// right after Train/load, before the model is shared.
-func (m *Model) SetLayout(l ml.Layout) error {
-	if !m.IsFitted() {
-		return fmt.Errorf("hybrid: %w", lamerr.ErrNotFitted)
-	}
-	return ml.SetLayoutOf(m.mlModel, l)
-}
-
 // Quantize returns a new hybrid model whose ML component is replaced by
 // a frozen bits-wide quantized table (see ml.Quantize); the analytical
 // model and coupling configuration are shared. The source model is not

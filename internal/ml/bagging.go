@@ -31,11 +31,6 @@ type Bagging struct {
 	// worker count: each member's bootstrap RNG is derived from
 	// (Seed, member index) before fan-out.
 	Workers int
-	// Layout selects the fused ensemble's traversal layout when every
-	// base model is a DecisionTree; LayoutDefault means the process
-	// default (SetDefaultLayout). Ignored for non-tree bases (apply
-	// SetLayoutOf to the fitted estimator instead, which recurses).
-	Layout Layout
 
 	models []Regressor
 	// compiled is the fused flat node table when every base model is a
@@ -92,14 +87,8 @@ func (b *Bagging) FitCtx(ctx context.Context, X [][]float64, y []float64) error 
 	if err != nil {
 		return err
 	}
-	compiled := compileBaggedTrees(models)
-	if compiled != nil && b.Layout != LayoutDefault {
-		if err := compiled.SetLayout(b.Layout); err != nil {
-			return err
-		}
-	}
 	b.models = models
-	b.compiled = compiled
+	b.compiled = compileBaggedTrees(models)
 	return nil
 }
 

@@ -27,14 +27,14 @@ func b2i32(b bool) int32 {
 // over tree bases, GradientBoosting) compiles at Fit/load time; there
 // is no pointer-tree runtime representation left.
 //
-// An ensemble holds exactly one exact node table: the packed 16-byte
-// hotNode records built straight from its member trees. The opt-in
-// quantized tables (quant.go) are derived from it.
+// An ensemble holds exactly one node table: the packed 16-byte hotNode
+// records built straight from its member trees. Quantize (quant.go)
+// derives a separate, frozen QuantizedModel from it.
 //
-// The exact walk is bit-identical to the recursive form: the node
-// ordering, thresholds and comparison directions are unchanged, only
-// the storage differs (asserted exhaustively by TestCompiledEquivalence
-// in compiled_test.go). Quantized layouts are approximate and opt-in.
+// The walk is bit-identical to the recursive form: the node ordering,
+// thresholds and comparison directions are unchanged, only the storage
+// differs (asserted exhaustively by TestCompiledEquivalence in
+// compiled_test.go).
 
 // CompiledTree is one regression tree flattened onto parallel arrays in
 // canonical preorder. Leaves have feature[i] < 0; internal nodes keep
@@ -69,7 +69,7 @@ func (c *CompiledTree) grow(value float64, n int) int32 {
 
 // split turns the leaf at idx into an internal node. The builder grows
 // the left subtree immediately after idx (preorder), so left must be
-// idx+1 — the canonical-layout invariant the whole plane rests on; it
+// idx+1 — the canonical preorder invariant the whole plane rests on; it
 // is asserted here so a future builder change cannot silently corrupt
 // traversal.
 func (c *CompiledTree) split(idx int32, feature int, threshold float64, left, right int32) {
@@ -218,25 +218,16 @@ const (
 // scoring streams through one allocation-free memory region instead of
 // hopping between per-tree heaps.
 //
-// The packed hot table is the only exact node table; SetLayout derives
-// the quantized tables from it. SetLayout is not safe to call
-// concurrently with prediction — apply it right after Fit/load, before
-// the ensemble is shared (the registry/serve layers do exactly that).
+// The packed hot table is the only node table; Quantize derives a
+// separate, frozen quantized table from it.
 type CompiledEnsemble struct {
 	roots   []int32
 	combine ensembleCombine
 	// init and rate are the boosting constants (combineBoosted only).
 	init, rate float64
 
-	// layout is the active traversal layout (always resolved, never
-	// LayoutDefault; the zero value acts as LayoutImplicitLeft).
-	layout Layout
-	// hot is the packed 16-byte-per-node walk table. It stays
-	// allocated under the quantized layouts so SetLayout can return to
-	// exact.
+	// hot is the packed 16-byte-per-node walk table.
 	hot []hotNode
-	// qt is the quantized node table for LayoutQuant16/LayoutQuant8.
-	qt *quantEnsemble
 }
 
 // NumTrees returns the number of member trees.
@@ -259,8 +250,7 @@ func (e *CompiledEnsemble) appendTree(t *CompiledTree) {
 	}
 }
 
-// compileEnsemble packs fitted trees into one exactly sized node table
-// and applies the process-default traversal layout.
+// compileEnsemble packs fitted trees into one exactly sized node table.
 func compileEnsemble(trees []*DecisionTree, combine ensembleCombine, init, rate float64) *CompiledEnsemble {
 	n := 0
 	for _, t := range trees {
@@ -271,7 +261,6 @@ func compileEnsemble(trees []*DecisionTree, combine ensembleCombine, init, rate 
 	for _, t := range trees {
 		e.appendTree(&t.nodes)
 	}
-	e.applyDefaultLayout()
 	return e
 }
 
@@ -287,19 +276,6 @@ func compileBoostedEnsemble(stages []*DecisionTree, init, rate float64) *Compile
 	return compileEnsemble(stages, combineBoosted, init, rate)
 }
 
-// Predict scores one feature vector, folding the member trees in
-// order. The exact layout is bit-identical to summing the members'
-// individual predictions the way the estimators' recursive
-// implementations did: mean = (t₀+t₁+…)/n, boosted = init + rate·t₀ +
-// rate·t₁ + …. Quantized layouts approximate within the documented
-// threshold-perturbation bound. Allocation-free.
-func (e *CompiledEnsemble) Predict(x []float64) float64 {
-	if e.qt != nil {
-		return e.qt.predict(x)
-	}
-	return e.predictHotInterleaved(x)
-}
-
 // hotLanes is the number of member trees a single-row ensemble walk
 // descends simultaneously. Each walk is a serial chain of dependent
 // loads — on tables past the cache the walker mostly waits on memory —
@@ -309,9 +285,12 @@ func (e *CompiledEnsemble) Predict(x []float64) float64 {
 // trees one by one.
 const hotLanes = 4
 
-// predictHotInterleaved is the single-row ensemble walk over the
-// packed hot table, hotLanes trees at a time.
-func (e *CompiledEnsemble) predictHotInterleaved(x []float64) float64 {
+// Predict scores one feature vector, walking the packed hot table
+// hotLanes trees at a time and folding the member trees in order. It is
+// bit-identical to summing the members' individual predictions the way
+// the estimators' recursive implementations did: mean = (t₀+t₁+…)/n,
+// boosted = init + rate·t₀ + rate·t₁ + …. Allocation-free.
+func (e *CompiledEnsemble) Predict(x []float64) float64 {
 	hot, roots := e.hot, e.roots
 	var idx [hotLanes]int32
 	var val [hotLanes]float64
@@ -360,9 +339,7 @@ func (e *CompiledEnsemble) predictHotInterleaved(x []float64) float64 {
 
 // PredictInto scores one feature vector per member prefix: out[i] is
 // the prediction using trees [0, i] — the staged-prediction primitive.
-// out must have NumTrees elements. Staged prediction is an analysis
-// path, not a serving path, so it always walks the exact hot table
-// regardless of the active layout. Allocation-free.
+// out must have NumTrees elements. Allocation-free.
 func (e *CompiledEnsemble) PredictInto(x []float64, out []float64) {
 	switch e.combine {
 	case combineBoosted:
@@ -396,19 +373,15 @@ var batchTreeMajorMinNodes = 4096
 // trees, the inner loop rows — so one tree's nodes stay cache-hot
 // across the whole block instead of the entire ensemble being
 // re-streamed per row. Each out[i] still accumulates its tree
-// contributions in tree order, so the exact layout is bit-identical to
+// contributions in tree order, so the result is bit-identical to
 // per-row Predict calls. Parallel batch scoring lives in the
 // estimators (Forest.PredictBatchInto and friends), which block-split
 // over this walk.
 func (e *CompiledEnsemble) PredictBatchInto(X [][]float64, out []float64) {
 	out = out[:len(X)]
-	if e.qt != nil {
-		e.qt.predictBatchInto(X, out)
-		return
-	}
 	if len(e.hot) < batchTreeMajorMinNodes {
 		for i, x := range X {
-			out[i] = e.predictHotInterleaved(x)
+			out[i] = e.Predict(x)
 		}
 		return
 	}
@@ -433,8 +406,8 @@ func (e *CompiledEnsemble) PredictBatchInto(X [][]float64, out []float64) {
 
 // predictHotTreeRows accumulates one tree's scaled leaf values into out
 // for every row of X, hotLanes rows in lockstep — the batch twin of
-// predictHotInterleaved: within a tree the rows are independent walks,
-// so stepping a few at once keeps their loads in flight. The caller's
+// Predict: within a tree the rows are independent walks, so stepping a
+// few at once keeps their loads in flight. The caller's
 // outer loop still visits trees in order, so each out[i] accumulates
 // tree contributions exactly as the row-major walk would.
 func predictHotTreeRows(hot []hotNode, r int32, X [][]float64, out []float64, scale float64) {

@@ -104,7 +104,7 @@ func BenchmarkTreePredictSingle(b *testing.B) {
 	})
 }
 
-// benchForest fits the layout benchmarks' shared 100-tree ensemble.
+// benchForest fits the *Layout benchmarks' shared 100-tree ensemble.
 func benchForest(b *testing.B) (*Forest, [][]float64) {
 	b.Helper()
 	X, y, Xq := benchSetup(b, 4000)
@@ -114,11 +114,6 @@ func benchForest(b *testing.B) (*Forest, [][]float64) {
 	}
 	return f, Xq
 }
-
-// benchLayouts is the traversal-layout sweep the *Layout benchmarks run
-// after the "standard" baseline (stdForest below): the branchless
-// implicit-left walk, then the quantized tables.
-var benchLayouts = []Layout{LayoutImplicitLeft, LayoutQuant16, LayoutQuant8}
 
 // stdForest is the explicit two-child branchy walk the implicit-left
 // layout replaced, kept test-side as the baseline
@@ -198,7 +193,8 @@ func (s *stdForest) predictBatchInto(X [][]float64, out []float64) {
 }
 
 // BenchmarkForestPredictSingleLayout pairs single-row latency across
-// traversal layouts on a 100-tree ensemble.
+// the "standard" baseline walk (stdForest), the exact table and its
+// Quantize'd copies (quantSweep) on a 100-tree ensemble.
 func BenchmarkForestPredictSingleLayout(b *testing.B) {
 	f, Xq := benchForest(b)
 	std := newStdForest(f.trees)
@@ -207,23 +203,17 @@ func BenchmarkForestPredictSingleLayout(b *testing.B) {
 			_ = std.predict(Xq[i%len(Xq)])
 		}
 	})
-	for _, layout := range benchLayouts {
-		if err := SetLayoutOf(f, layout); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(layout.String(), func(b *testing.B) {
+	for _, l := range quantSweep(b, f) {
+		b.Run(l.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = f.Predict(Xq[i%len(Xq)])
+				_ = l.m.Predict(Xq[i%len(Xq)])
 			}
 		})
-	}
-	if err := SetLayoutOf(f, LayoutImplicitLeft); err != nil {
-		b.Fatal(err)
 	}
 }
 
 // BenchmarkForestPredictBatchLayout pairs 512-row batch scoring across
-// traversal layouts (sequential, workers 1, tree-major engaged — the
+// the same tables (sequential, workers 1, tree-major engaged — the
 // 100-tree table is far past the threshold).
 func BenchmarkForestPredictBatchLayout(b *testing.B) {
 	f, Xq := benchForest(b)
@@ -234,20 +224,14 @@ func BenchmarkForestPredictBatchLayout(b *testing.B) {
 			std.predictBatchInto(Xq, out)
 		}
 	})
-	for _, layout := range benchLayouts {
-		if err := SetLayoutOf(f, layout); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(layout.String(), func(b *testing.B) {
+	for _, l := range quantSweep(b, f) {
+		b.Run(l.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := f.PredictBatchInto(Xq, out); err != nil {
+				if err := PredictBatchInto(l.m, Xq, out, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-	}
-	if err := SetLayoutOf(f, LayoutImplicitLeft); err != nil {
-		b.Fatal(err)
 	}
 }
 
@@ -267,9 +251,6 @@ func TestTraversalBenchGuard(t *testing.T) {
 	Xq, _ := randomRegression(rng, 512, 6)
 	f := &Forest{NTrees: 100, Tree: TreeConfig{Splitter: RandomSplitter}, Seed: 7, Workers: 1}
 	if err := f.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if err := SetLayoutOf(f, LayoutImplicitLeft); err != nil {
 		t.Fatal(err)
 	}
 	std := newStdForest(f.trees)

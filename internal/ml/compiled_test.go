@@ -437,3 +437,185 @@ func TestPredictAllocationFree(t *testing.T) {
 		t.Errorf("gbr: StagedPredictInto allocates %.1f per call, want 0", allocs)
 	}
 }
+
+// keepTreeMajorThreshold restores the row-major/tree-major switchover
+// when the test ends, so the test may assign batchTreeMajorMinNodes
+// freely (1 forces the tree-major walk, 1<<30 the row-major one).
+func keepTreeMajorThreshold(t testing.TB) {
+	old := batchTreeMajorMinNodes
+	t.Cleanup(func() { batchTreeMajorMinNodes = old })
+}
+
+// TestCompiledEquivalenceLayouts extends TestCompiledEquivalence over
+// both batch strategies: across random tree configurations, forests and
+// boosters predict bit-identically to the legacy recursive pointer walk
+// — single vector, staged and batch, on both sides of the tree-major
+// threshold (forced via batchTreeMajorMinNodes so small fixtures
+// exercise the tree-major striding too).
+func TestCompiledEquivalenceLayouts(t *testing.T) {
+	keepTreeMajorThreshold(t)
+	rng := rand.New(rand.NewSource(0x1a7))
+	for trial := 0; trial < 8; trial++ {
+		n := 30 + rng.Intn(170)
+		p := 1 + rng.Intn(6)
+		X, y := randomRegression(rng, n, p)
+		Xq, _ := randomRegression(rng, 48, p)
+		cfg := randomTreeConfig(rng)
+
+		f := &Forest{NTrees: 2 + rng.Intn(8), Tree: cfg, Bootstrap: rng.Intn(2) == 0, Seed: rng.Int63(), Workers: 1}
+		if err := f.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		refs := make([]*refNode, len(f.trees))
+		for i, tr := range f.trees {
+			refs[i] = refTree(&tr.nodes)
+		}
+
+		g := &GradientBoosting{NStages: 2 + rng.Intn(8), MaxDepth: 1 + rng.Intn(4), Seed: rng.Int63(), Workers: 1}
+		if err := g.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		grefs := make([]*refNode, len(g.stages))
+		for i, tr := range g.stages {
+			grefs[i] = refTree(&tr.nodes)
+		}
+
+		out := make([]float64, len(Xq))
+		// Both batch strategies: row-major (huge threshold) and
+		// tree-major (threshold 1).
+		for _, thr := range []int{1 << 30, 1} {
+			batchTreeMajorMinNodes = thr
+			if err := f.PredictBatchInto(Xq, out); err != nil {
+				t.Fatal(err)
+			}
+			for i, x := range Xq {
+				want := refForestPredict(refs, x)
+				if !sameBits(out[i], want) {
+					t.Fatalf("forest thr=%d row %d: %x != recursive %x (cfg %+v)", thr, i, out[i], want, cfg)
+				}
+			}
+			if err := g.PredictBatchInto(Xq, out); err != nil {
+				t.Fatal(err)
+			}
+			for i, x := range Xq {
+				want := refBoostedPredict(grefs, g.init, g.rate, x)
+				if !sameBits(out[i], want) {
+					t.Fatalf("gbr thr=%d row %d: %x != recursive %x", thr, i, out[i], want)
+				}
+			}
+		}
+		for _, x := range Xq {
+			if got, want := f.Predict(x), refForestPredict(refs, x); !sameBits(got, want) {
+				t.Fatalf("forest single: %x != recursive %x (cfg %+v)", got, want, cfg)
+			}
+			if got, want := g.Predict(x), refBoostedPredict(grefs, g.init, g.rate, x); !sameBits(got, want) {
+				t.Fatalf("gbr single: %x != recursive %x", got, want)
+			}
+			want := refStagedPredict(grefs, g.init, g.rate, x)
+			got := g.StagedPredict(x)
+			for i := range want {
+				if !sameBits(got[i], want[i]) {
+					t.Fatalf("gbr stage %d: %x != recursive %x", i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestSetBatchTreeMajorThresholdBoundary pins the switchover contract:
+// the two batch strategies are bit-identical at the boundary, and the
+// built-in crossover is 4096 nodes.
+func TestSetBatchTreeMajorThresholdBoundary(t *testing.T) {
+	if batchTreeMajorMinNodes != 4096 {
+		t.Fatalf("default tree-major threshold = %d, want 4096", batchTreeMajorMinNodes)
+	}
+	keepTreeMajorThreshold(t)
+	rng := rand.New(rand.NewSource(0x7e57))
+	X, y := randomRegression(rng, 300, 4)
+	Xq, _ := randomRegression(rng, 64, 4)
+
+	f := &Forest{NTrees: 12, Tree: TreeConfig{Splitter: RandomSplitter}, Seed: 3, Workers: 1}
+	if err := f.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	nodes := f.compiled.NumNodes()
+
+	rowMajor := make([]float64, len(Xq))
+	treeMajor := make([]float64, len(Xq))
+	// Just above the table size: row-major. At the table size (the
+	// boundary value where n >= threshold first holds): tree-major.
+	batchTreeMajorMinNodes = nodes + 1
+	if err := f.PredictBatchInto(Xq, rowMajor); err != nil {
+		t.Fatal(err)
+	}
+	batchTreeMajorMinNodes = nodes
+	if err := f.PredictBatchInto(Xq, treeMajor); err != nil {
+		t.Fatal(err)
+	}
+	for i := range rowMajor {
+		if !sameBits(rowMajor[i], treeMajor[i]) {
+			t.Fatalf("row %d: row-major %x != tree-major %x", i, rowMajor[i], treeMajor[i])
+		}
+		if want := f.Predict(Xq[i]); !sameBits(rowMajor[i], want) {
+			t.Fatalf("row %d: batch %x != single %x", i, rowMajor[i], want)
+		}
+	}
+}
+
+// namedRegressor labels one entry of a model sweep.
+type namedRegressor struct {
+	name string
+	m    Regressor
+}
+
+// quantSweep returns the exact forest and its Quantize'd 16- and 8-bit
+// copies — the tables the quantized-serving tests and the *Layout
+// benchmarks compare.
+func quantSweep(tb testing.TB, f *Forest) []namedRegressor {
+	tb.Helper()
+	q16, err := Quantize(f, 16)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	q8, err := Quantize(f, 8)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []namedRegressor{{"exact", f}, {"quant16", q16}, {"quant8", q8}}
+}
+
+// TestLayoutPredictAllocationFree extends the serve-hot-path contract
+// to the quantized tables: the exact forest and its Quantize(16) and
+// Quantize(8) copies predict allocation-free in steady state, single
+// and sequential batch, on both sides of the tree-major threshold.
+func TestLayoutPredictAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	keepTreeMajorThreshold(t)
+	rng := rand.New(rand.NewSource(0xa110c))
+	X, y := randomRegression(rng, 200, 4)
+	Xq, _ := randomRegression(rng, 50, 4)
+	out := make([]float64, len(Xq))
+
+	f := &Forest{NTrees: 10, Seed: 1, Workers: 1}
+	if err := f.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	for _, mc := range quantSweep(t, f) {
+		for _, thr := range []int{1 << 30, 1} {
+			batchTreeMajorMinNodes = thr
+			x := Xq[0]
+			if allocs := testing.AllocsPerRun(100, func() { mc.m.Predict(x) }); allocs != 0 {
+				t.Errorf("%s: Predict allocates %.1f per call, want 0", mc.name, allocs)
+			}
+			if allocs := testing.AllocsPerRun(50, func() {
+				if err := PredictBatchInto(mc.m, Xq, out, 1); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("%s thr=%d: PredictBatchInto allocates %.1f per batch, want 0", mc.name, thr, allocs)
+			}
+		}
+	}
+}

@@ -28,11 +28,6 @@ type Forest struct {
 	// the process default (parallel.DefaultWorkers). Results are
 	// bit-identical for every worker count.
 	Workers int
-	// Layout selects the compiled ensemble's traversal layout;
-	// LayoutDefault means the process default (SetDefaultLayout).
-	// Quantized layouts that exceed the table's addressing limits fail
-	// the fit with the quantizer's error.
-	Layout Layout
 
 	trees     []*DecisionTree
 	compiled  *CompiledEnsemble
@@ -115,14 +110,8 @@ func (f *Forest) FitCtx(ctx context.Context, X [][]float64, y []float64) error {
 	if err != nil {
 		return err
 	}
-	compiled := compileMeanEnsemble(trees)
-	if f.Layout != LayoutDefault {
-		if err := compiled.SetLayout(f.Layout); err != nil {
-			return err
-		}
-	}
 	f.trees = trees
-	f.compiled = compiled
+	f.compiled = compileMeanEnsemble(trees)
 	f.nFeatures = p
 	return nil
 }

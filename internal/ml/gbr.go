@@ -44,11 +44,6 @@ type GradientBoosting struct {
 	// scoring every training sample with the freshly grown stage tree
 	// is an independent-iteration loop and dominates on wide datasets.
 	Workers int
-	// Layout selects the compiled ensemble's traversal layout;
-	// LayoutDefault means the process default (SetDefaultLayout).
-	// Quantized layouts that exceed the table's addressing limits fail
-	// the fit with the quantizer's error.
-	Layout Layout
 
 	init     float64
 	stages   []*DecisionTree
@@ -142,16 +137,10 @@ func (g *GradientBoosting) FitCtx(ctx context.Context, X [][]float64, y []float6
 			}
 		})
 	}
-	compiled := compileBoostedEnsemble(stages, mean, rate)
-	if g.Layout != LayoutDefault {
-		if err := compiled.SetLayout(g.Layout); err != nil {
-			return err
-		}
-	}
 	g.init = mean
 	g.rate = rate
 	g.stages = stages
-	g.compiled = compiled
+	g.compiled = compileBoostedEnsemble(stages, mean, rate)
 	return nil
 }
 

@@ -5,9 +5,9 @@ import (
 	"math"
 )
 
-// Quantized node tables (LayoutQuant16 / LayoutQuant8 and the
-// standalone QuantizedModel). The SoA form the member trees and the
-// artifacts hold spends 28 bytes per node (feature i32, right i32,
+// Quantized node tables: the frozen QuantizedModel that Quantize
+// derives from a fitted ensemble's exact table. The SoA form the member
+// trees and the artifacts hold spends 28 bytes per node (feature i32, right i32,
 // nSamples i32, threshold f64, value f64); the quantized table spends
 // 6 (16-bit) or 5 (8-bit) plus 4 bytes per leaf value, a ~3.5-4x
 // shrink against that form (~2x against the 16-byte exact walk
@@ -28,7 +28,7 @@ import (
 // only flip for rows within one quantization step (hi-lo)/(maxQ-1)
 // above its threshold — left routing is always preserved, floor being
 // monotone (pinned by the error-bound property test in quant_test.go).
-// Exact modes are unaffected. Caveats: rows are
+// The source model is unaffected. Caveats: rows are
 // assumed finite — NaN features lose the legacy NaN-goes-right
 // routing — and predictions are no longer bit-identical to the exact
 // table, so quantized artifacts are published as new versions, never
@@ -225,7 +225,7 @@ func (q *quantEnsemble) quantizeRow(x []float64, qx []uint16) {
 
 // predictQuantized folds the member trees over one quantized row,
 // hotLanes trees at a time (same latency-hiding interleave as
-// predictHotInterleaved; leaf values still fold in tree order).
+// CompiledEnsemble.Predict; leaf values still fold in tree order).
 func (q *quantEnsemble) predictQuantized(qx []uint16) float64 {
 	if q.bits == 8 {
 		return quantFoldInterleaved(q, q.qthr8, qx)
@@ -503,12 +503,15 @@ func (m *QuantizedModel) NumNodes() int { return m.q.NumNodes() }
 func (m *QuantizedModel) TableBytes() int { return m.q.TableBytes() }
 
 // Quantize converts a fitted tree-based regressor into a frozen
-// QuantizedModel with bits-wide (8 or 16) thresholds. Pipelines are
-// rebuilt around a quantized inner model (the scaler is exact);
-// supported inner estimators are DecisionTree, Forest,
-// GradientBoosting and Bagging over tree bases. The source model is
-// not modified. Quantization is approximate — persist the result as a
-// new artifact version, never over the exact model.
+// QuantizedModel with bits-wide (8 or 16) thresholds. DecisionTree,
+// Forest, GradientBoosting and Bagging over tree bases become one
+// QuantizedModel each. Compound estimators are rebuilt around
+// quantized members: a Pipeline around its inner model (the scaler is
+// exact), a Bagging over non-tree bases around each base, a Stacking
+// around each base and its meta model. A member with no tree plane
+// (LinearRegression, KNN) is an error. The source model is not
+// modified. Quantization is approximate — persist the result as a new
+// artifact version, never over the exact model.
 func Quantize(r Regressor, bits int) (Regressor, error) {
 	switch v := r.(type) {
 	case *DecisionTree:
@@ -538,13 +541,41 @@ func Quantize(r Regressor, bits int) (Regressor, error) {
 		}
 		return quantizeEnsemble(v.compiled, v.NumFeatures(), bits)
 	case *Bagging:
-		if v.compiled == nil {
-			if len(v.models) == 0 {
-				return nil, fmt.Errorf("ml: cannot quantize an unfitted Bagging")
-			}
-			return nil, fmt.Errorf("ml: cannot quantize Bagging over non-tree bases")
+		if len(v.models) == 0 {
+			return nil, fmt.Errorf("ml: cannot quantize an unfitted Bagging")
 		}
-		return quantizeEnsemble(v.compiled, v.NumFeatures(), bits)
+		if v.compiled != nil {
+			return quantizeEnsemble(v.compiled, v.NumFeatures(), bits)
+		}
+		b := &Bagging{N: v.N, SampleFrac: v.SampleFrac, Seed: v.Seed, Workers: v.Workers,
+			models: make([]Regressor, len(v.models))}
+		for i, m := range v.models {
+			qm, err := Quantize(m, bits)
+			if err != nil {
+				return nil, fmt.Errorf("ml: bagging member %d: %w", i, err)
+			}
+			b.models[i] = qm
+		}
+		return b, nil
+	case *Stacking:
+		if v.meta == nil {
+			return nil, fmt.Errorf("ml: cannot quantize an unfitted Stacking")
+		}
+		s := &Stacking{PassThrough: v.PassThrough, KFold: v.KFold, Seed: v.Seed, Workers: v.Workers,
+			bases: make([]Regressor, len(v.bases))}
+		for i, m := range v.bases {
+			qm, err := Quantize(m, bits)
+			if err != nil {
+				return nil, fmt.Errorf("ml: stacking base %d: %w", i, err)
+			}
+			s.bases[i] = qm
+		}
+		meta, err := Quantize(v.meta, bits)
+		if err != nil {
+			return nil, fmt.Errorf("ml: stacking meta: %w", err)
+		}
+		s.meta = meta
+		return s, nil
 	case *Pipeline:
 		if !v.fitted {
 			return nil, fmt.Errorf("ml: cannot quantize an unfitted Pipeline")

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -383,5 +384,132 @@ func TestQuantizedNaNRow(t *testing.T) {
 	got := qr.Predict([]float64{math.NaN(), 1, math.Inf(1)})
 	if math.IsNaN(got) || math.IsInf(got, 0) {
 		t.Fatalf("NaN/Inf row produced %v, want a finite leaf combination", got)
+	}
+}
+
+// TestQuantizeCompound pins quantization of the compound estimators
+// that hold more than one tree plane: a Stacking over tree bases with a
+// tree meta model, and a Bagging of Pipelines. Single and batch
+// predictions must equal the same fold over the members' own quantized
+// tables, the lamb1 round trip must be exact, and a member with no
+// tree plane (KNN, LinearRegression) must fail the quantization.
+func TestQuantizeCompound(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x57ac))
+	X, y := randomRegression(rng, 160, 3)
+	Xq, _ := randomRegression(rng, 40, 3)
+
+	st := &Stacking{
+		NewBases: []func() Regressor{
+			func() Regressor { return NewExtraTrees(6, 1) },
+			func() Regressor { return &GradientBoosting{NStages: 6, Seed: 2, Workers: 1} },
+		},
+		NewMeta:     func() Regressor { return NewExtraTrees(4, 3) },
+		PassThrough: true,
+		Workers:     1,
+	}
+	if err := st.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	bag := &Bagging{
+		NewBase: func() Regressor { return &Pipeline{Model: NewExtraTrees(4, 5)} },
+		N:       3, Seed: 6, Workers: 1,
+	}
+	if err := bag.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, bits := range []int{16, 8} {
+		quantize := func(r Regressor) Regressor {
+			t.Helper()
+			q, err := Quantize(r, bits)
+			if err != nil {
+				t.Fatalf("%d-bit Quantize(%T): %v", bits, r, err)
+			}
+			return q
+		}
+		qst := quantize(st).(*Stacking)
+		qbases := []Regressor{quantize(st.bases[0]), quantize(st.bases[1])}
+		qmeta := quantize(st.meta)
+		stackWant := func(x []float64) float64 {
+			return qmeta.Predict(append(append([]float64{}, x...), qbases[0].Predict(x), qbases[1].Predict(x)))
+		}
+		qbag := quantize(bag).(*Bagging)
+		if qbag.compiled != nil {
+			t.Fatal("quantized bagging of pipelines grew a fused exact table")
+		}
+		var qmembers []Regressor
+		for _, m := range bag.models {
+			qmembers = append(qmembers, quantize(m))
+		}
+		bagWant := func(x []float64) float64 {
+			s := 0.0
+			for _, m := range qmembers {
+				s += m.Predict(x)
+			}
+			return s / float64(len(qmembers))
+		}
+
+		for _, c := range []struct {
+			name string
+			q    Regressor
+			want func([]float64) float64
+		}{{"stacking", qst, stackWant}, {"bagging", qbag, bagWant}} {
+			buf, err := AppendBinary(nil, c.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := DecodeBinary(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := StatsOf(back).Quant; got != fmt.Sprintf("quant%d", bits) {
+				t.Errorf("%s/%d: decoded StatsOf.Quant = %q", c.name, bits, got)
+			}
+			out := make([]float64, len(Xq))
+			for _, r := range []Regressor{c.q, back} {
+				if err := PredictBatchInto(r, Xq, out, 2); err != nil {
+					t.Fatal(err)
+				}
+				for i, x := range Xq {
+					want := c.want(x)
+					if got := r.Predict(x); !sameBits(got, want) {
+						t.Fatalf("%s/%d row %d: single %x != members' quantized fold %x", c.name, bits, i, got, want)
+					}
+					if !sameBits(out[i], want) {
+						t.Fatalf("%s/%d row %d: batch %x != members' quantized fold %x", c.name, bits, i, out[i], want)
+					}
+				}
+			}
+		}
+	}
+
+	knnBase := &Stacking{
+		NewBases: []func() Regressor{
+			func() Regressor { return NewExtraTrees(3, 1) },
+			func() Regressor { return &KNN{K: 3} },
+		},
+		NewMeta: func() Regressor { return NewExtraTrees(3, 2) },
+	}
+	linMeta := &Stacking{
+		NewBases: []func() Regressor{func() Regressor { return NewExtraTrees(3, 1) }},
+		NewMeta:  func() Regressor { return &LinearRegression{} },
+	}
+	linBag := &Bagging{NewBase: func() Regressor { return &LinearRegression{} }, N: 2, Workers: 1}
+	for _, c := range []struct {
+		name string
+		r    Regressor
+		want string
+	}{{"stacking with a KNN base", knnBase, "stacking base 1"},
+		{"stacking with a linear meta", linMeta, "stacking meta"},
+		{"bagging of linear models", linBag, "bagging member 0"}} {
+		if err := c.r.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Quantize(c.r, 16); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Quantize(%s) = %v, want an error naming %q", c.name, err, c.want)
+		}
+	}
+	if _, err := Quantize(&Stacking{}, 16); err == nil {
+		t.Error("quantize of an unfitted stacking accepted")
 	}
 }
